@@ -18,13 +18,8 @@ from .potentials import (
 from .dynamics import (
     BrownianSource,
     InitialLaw,
-    ParticleEnsemble,
     StepPolicy,
     drift,
-    step,
-    project,
-    simulate,
-    coupled_simulate,
     IntegrationError,
     StabilityError,
 )

@@ -17,8 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import experiments, io as gio
-from .config import ConfigError, SimConfig, canonical_text, config_hash, parse_config, validate_potentials
-from .metrics import series_to_csv_rows
+from .config import ConfigError, SimConfig, config_hash, parse_config, validate_potentials
 from .potentials import check_declared
 
 EXIT_OK = 0
@@ -78,7 +77,7 @@ def _load_config(args) -> SimConfig:
 
 
 def _cmd_check_potential(args) -> int:
-    cfg = _load_config(args) if not args.unchecked else _load_config(args)
+    cfg = _load_config(args)
     reports = []
     ok = True
     for name, pot in (("potential_V", cfg.potential_V), ("potential_W", cfg.potential_W)):
@@ -98,19 +97,7 @@ def _cmd_simulate(args) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     base = os.path.join(cfg.output_dir, f"simulate-{h}")
     if "jsonl" in cfg.output_formats:
-        with open(base + ".jsonl", "w") as fh:
-            for ti, t in enumerate(times):
-                for r in range(pos.shape[1]):
-                    rec = {
-                        "time": float(t),
-                        "run": r,
-                        "observables": {
-                            "mean_sq": float(np.mean(np.sum(pos[ti, r] ** 2, axis=-1))),
-                        },
-                    }
-                    if args.positions:
-                        rec["positions"] = pos[ti, r].tolist()
-                    fh.write(json.dumps(rec) + "\n")
+        gio.write_snapshot_jsonl(base + ".jsonl", times, pos, args.positions)
     if "csv" in cfg.output_formats:
         rows = [
             (float(t), float(np.mean(np.sum(pos[ti] ** 2, axis=-1))), "", "simulate", "")

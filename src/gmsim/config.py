@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import difflib
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,26 +1,28 @@
 """Particle-system dynamics: drift evaluation, Euler-type steppers with
 drift taming, the zero-mean projected system, and synchronous couplings.
 
-All stepping arithmetic is vectorized and accepts a leading batch axis, so
-independent Monte Carlo runs advance in lockstep through the same code
-path; each run draws its noise from its own counter-based stream, which
-makes results bit-identical whatever the batching or thread count.
+Positions always carry a leading run axis, (runs, N, d); a single run is a
+batch of one.  Independent Monte Carlo runs advance in lockstep: each step
+draws its noise once with batch_noise, run r from its own counter-based
+stream (adaptive sub-steps read further into the same block), and every
+update goes through apply_scheme, which projects the noise and recentres
+the ensemble in projected mode and rejects non-finite states.  Results are
+therefore bit-identical whatever the batching or thread count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import Potential, zero as zero_potential
+from .potentials import Potential
 from .rng import INIT_STEP, BrownianSource
 
 EULER = "euler"
 TAMED = "tamed"
 ADAPTIVE = "adaptive"
-
-SQRT2 = np.sqrt(2.0)
 
 
 class IntegrationError(RuntimeError):
@@ -43,26 +45,6 @@ class StepPolicy:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dt <= 0 or self.dt_min <= 0 or self.adaptive_drift_cap <= 0:
             raise ValueError("dt, dt_min and adaptive_drift_cap must be > 0")
-
-
-@dataclass(frozen=True)
-class ParticleEnsemble:
-    """Positions of N particles in R^d at one time point."""
-
-    positions: np.ndarray  # (n, dim)
-    time: float = 0.0
-    steps_taken: int = 0
-    seed: int = 0
-    stream: int = 0
-    centered: bool = False
-
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
 
 
 @dataclass(frozen=True)
@@ -147,52 +129,34 @@ def project_noise(xi: np.ndarray) -> np.ndarray:
     return xi - xi.mean(axis=-2, keepdims=True)
 
 
-def apply_scheme(x: np.ndarray, b: np.ndarray, xi: np.ndarray, dt: float, scheme: str) -> np.ndarray:
-    if scheme == EULER:
-        return x + b * dt + np.sqrt(2.0 * dt) * xi
-    if scheme == TAMED:
-        bnorm = np.linalg.norm(b, axis=-1, keepdims=True)
-        return x + b * dt / (1.0 + dt * bnorm) + np.sqrt(2.0 * dt) * xi
-    raise ValueError(f"apply_scheme does not handle {scheme!r}")
-
-
-def step(
-    ensemble: ParticleEnsemble,
-    V: Potential,
-    W: Potential,
-    policy: StepPolicy,
-    source: BrownianSource,
+def apply_scheme(
+    x: np.ndarray, b: np.ndarray, xi: np.ndarray, dt: float, scheme: str,
     projected: bool = False,
-) -> ParticleEnsemble:
-    """Advance one time step of size policy.dt."""
-    x = ensemble.positions
-    k = ensemble.steps_taken
-    if policy.scheme == ADAPTIVE:
-        x_new = _adaptive_step(x, V, W, policy, source, ensemble.stream, k, projected)
+) -> np.ndarray:
+    """One update of positions x (..., N, d) under drift b, driven by the
+    standard normal increments xi.  In projected mode the increments lose
+    their ensemble mean and the result is recentred on the zero-mean
+    hyperplane; a non-finite result raises IntegrationError."""
+    if projected:
+        xi = project_noise(xi)
+    if scheme == EULER:
+        x_new = x + b * dt + np.sqrt(2.0 * dt) * xi
+    elif scheme == TAMED:
+        bnorm = np.linalg.norm(b, axis=-1, keepdims=True)
+        x_new = x + b * dt / (1.0 + dt * bnorm) + np.sqrt(2.0 * dt) * xi
     else:
-        xi = noise_block(source, ensemble.stream, k, ensemble.n, ensemble.dim)
-        if projected:
-            xi = project_noise(xi)
-        b = drift(x, V, W)
-        x_new = apply_scheme(x, b, xi, policy.dt, policy.scheme)
+        raise ValueError(f"apply_scheme does not handle {scheme!r}")
     if not np.all(np.isfinite(x_new)):
         bad = np.argwhere(~np.isfinite(x_new))
-        raise IntegrationError(
-            f"non-finite position at particle {int(bad[0][0])}, "
-            f"t={ensemble.time + policy.dt:.6g}"
-        )
+        raise IntegrationError(f"non-finite position at entry {bad[0].tolist()}")
     if projected:
         x_new = x_new - x_new.mean(axis=-2, keepdims=True)
-    return replace(
-        ensemble,
-        positions=x_new,
-        time=ensemble.time + policy.dt,
-        steps_taken=k + 1,
-        centered=projected,
-    )
+    return x_new
 
 
 def _adaptive_step(x, V, W, policy, source, stream, step_index, projected):
+    """One step of one run, (N, d), split into Euler sub-steps short enough
+    that dt_loc * max|b| stays under the drift cap."""
     n, dim = x.shape[-2], x.shape[-1]
     t_done = 0.0
     offset = 0
@@ -211,17 +175,9 @@ def _adaptive_step(x, V, W, policy, source, stream, step_index, projected):
         dt_loc = min(dt_loc, policy.dt - t_done)
         xi = noise_block(source, stream, step_index, n, dim, offset=offset)
         offset += n * dim
-        if projected:
-            xi = project_noise(xi)
-        x = x + b * dt_loc + np.sqrt(2.0 * dt_loc) * xi
+        x = apply_scheme(x, b, xi, dt_loc, EULER, projected)
         t_done += dt_loc
     return x
-
-
-def project(ensemble: ParticleEnsemble) -> ParticleEnsemble:
-    """Subtract the ensemble mean from every particle (idempotent)."""
-    x = ensemble.positions - ensemble.positions.mean(axis=-2, keepdims=True)
-    return replace(ensemble, positions=x, centered=True)
 
 
 def observation_steps(obs_times, dt: float) -> list[int]:
@@ -229,42 +185,19 @@ def observation_steps(obs_times, dt: float) -> list[int]:
     return [int(np.floor(t / dt + 1e-9)) for t in obs_times]
 
 
-def default_observables(x: np.ndarray) -> dict:
-    sq = np.sum(x * x, axis=-1)
-    diff = x[..., :, None, :] - x[..., None, :, :]
-    pair_sq = np.sum(diff * diff, axis=-1)
-    n = x.shape[-2]
-    off = pair_sq.sum(axis=(-2, -1)) / (n * (n - 1))
-    return {
-        "mean_sq": float(np.mean(sq)),
-        "pairwise_mean_sq": float(np.mean(off)),
-        "mean_position_norm": float(np.linalg.norm(np.mean(x, axis=-2))),
-    }
-
-
-def simulate(config, run: int = 0):
-    """Generator over (time, ParticleEnsemble, observables) snapshots for
-    one run of a validated SimConfig."""
-    source = BrownianSource(config.seed)
-    stream = config.stream_for_run(run)
-    projected = config.mode == "projected"
-    x0 = config.initial_law.sample(source, stream, config.n, config.dim)
-    if projected:
-        x0 = x0 - x0.mean(axis=-2, keepdims=True)
-    ens = ParticleEnsemble(
-        positions=x0, time=0.0, steps_taken=0, seed=config.seed, stream=stream,
-        centered=projected,
-    )
-    policy = config.step_policy
-    obs = observation_steps(config.observation_times, policy.dt)
-    last_step = max(obs) if obs else 0
-    pending = dict(zip(obs, config.observation_times))
-    if ens.steps_taken in pending:
-        yield pending[ens.steps_taken], ens, default_observables(ens.positions)
-    while ens.steps_taken < last_step:
-        ens = step(ens, config.potential_V, config.potential_W, policy, source, projected)
-        if ens.steps_taken in pending:
-            yield pending[ens.steps_taken], ens, default_observables(ens.positions)
+def observation_schedule(obs_steps, state, advance):
+    """Walk the step grid from step 0 to the last observed step, yielding
+    (slots, state) at every step that some observation snaps to; slots
+    lists those observations' indices, several when times share a step.
+    advance(state, k) takes the state after k steps to the one after k+1."""
+    slots = defaultdict(list)
+    for i, k in enumerate(obs_steps):
+        slots[k].append(i)
+    for k in range(max(slots, default=0) + 1):
+        if k:
+            state = advance(state, k - 1)
+        if k in slots:
+            yield slots[k], state
 
 
 def batch_noise(source: BrownianSource, streams, step_index: int, n: int, dim: int) -> np.ndarray:
@@ -286,31 +219,16 @@ def step_batch(
     step_index: int,
     projected: bool = False,
 ) -> np.ndarray:
-    """One step for a batch of independent runs, positions (runs, N, d).
-    Row r is bit-identical to stepping run r alone (euler/tamed only)."""
-    runs, n, dim = x.shape
+    """Advance independent runs, positions (runs, N, d), from step
+    step_index to step_index + 1; run r draws from streams[r].  A single
+    run is runs = 1, and row r never depends on the other rows."""
     if policy.scheme == ADAPTIVE:
-        x_new = np.stack(
-            [
-                _adaptive_step(x[r], V, W, policy, source, streams[r], step_index, projected)
-                for r in range(runs)
-            ]
-        )
-    else:
-        xi = batch_noise(source, streams, step_index, n, dim)
-        if projected:
-            xi = project_noise(xi)
-        b = drift(x, V, W)
-        x_new = apply_scheme(x, b, xi, policy.dt, policy.scheme)
-    if not np.all(np.isfinite(x_new)):
-        bad = np.argwhere(~np.isfinite(x_new))
-        raise IntegrationError(
-            f"non-finite position in run {int(bad[0][0])}, particle {int(bad[0][1])}, "
-            f"step {step_index + 1}"
-        )
-    if projected:
-        x_new = x_new - x_new.mean(axis=-2, keepdims=True)
-    return x_new
+        return np.stack([
+            _adaptive_step(x[r], V, W, policy, source, s, step_index, projected)
+            for r, s in enumerate(streams)
+        ])
+    xi = batch_noise(source, streams, step_index, x.shape[-2], x.shape[-1])
+    return apply_scheme(x, drift(x, V, W), xi, policy.dt, policy.scheme, projected)
 
 
 def coupled_step_batch(
@@ -330,20 +248,10 @@ def coupled_step_batch(
         # Sub-step counts would differ between the copies and break the
         # shared-increment contract.
         raise ValueError("synchronous coupling supports the euler and tamed schemes only")
-    runs, n, dim = xa.shape
-    xi = np.empty_like(xa)
-    for r in range(runs):
-        xi[r] = noise_block(source, streams[r], step_index, n, dim)
-    if projected:
-        xi = project_noise(xi)
-    ba = drift(xa, V, W)
-    bb = drift(xb, V, W)
-    xa_new = apply_scheme(xa, ba, xi, policy.dt, policy.scheme)
-    xb_new = apply_scheme(xb, bb, xi, policy.dt, policy.scheme)
-    if projected:
-        xa_new = xa_new - xa_new.mean(axis=-2, keepdims=True)
-        xb_new = xb_new - xb_new.mean(axis=-2, keepdims=True)
-    return xa_new, xb_new
+    xi = batch_noise(source, streams, step_index, xa.shape[-2], xa.shape[-1])
+    xa = apply_scheme(xa, drift(xa, V, W), xi, policy.dt, policy.scheme, projected)
+    xb = apply_scheme(xb, drift(xb, V, W), xi, policy.dt, policy.scheme, projected)
+    return xa, xb
 
 
 def couple_initial(
@@ -378,40 +286,3 @@ def couple_initial(
         rows, cols = linear_sum_assignment(cost)
         return xa[rows], xb[cols]
     raise ValueError(f"unknown coupling {coupling!r}")
-
-
-def coupled_simulate(config, law_a: InitialLaw, law_b: InitialLaw, coupling: str = "comonotone-1d"):
-    """Generator over (time, (ensemble_a, ensemble_b), xi) snapshots where
-    xi = (1/N) sum_i |Y_i - Y'_i|^2, for run 0 of the config."""
-    source = BrownianSource(config.seed)
-    stream = config.stream_for_run(0)
-    projected = config.mode == "projected"
-    xa, xb = couple_initial(
-        law_a, law_b, source, stream, stream + 1, config.n, config.dim, coupling
-    )
-    if projected:
-        xa = xa - xa.mean(axis=-2, keepdims=True)
-        xb = xb - xb.mean(axis=-2, keepdims=True)
-    xa = xa[None]
-    xb = xb[None]
-    policy = config.step_policy
-    obs = observation_steps(config.observation_times, policy.dt)
-    pending = dict(zip(obs, config.observation_times))
-    k = 0
-    last_step = max(obs) if obs else 0
-
-    def emit(t):
-        ea = ParticleEnsemble(xa[0], t, k, config.seed, stream, projected)
-        eb = ParticleEnsemble(xb[0], t, k, config.seed, stream, projected)
-        return t, (ea, eb), float(np.mean(np.sum((xa[0] - xb[0]) ** 2, axis=-1)))
-
-    if k in pending:
-        yield emit(pending[k])
-    while k < last_step:
-        xa, xb = coupled_step_batch(
-            xa, xb, config.potential_V, config.potential_W, policy, source, [stream], k,
-            projected,
-        )
-        k += 1
-        if k in pending:
-            yield emit(pending[k])

@@ -25,9 +25,8 @@ from .dynamics import (
     couple_initial,
     drift,
     apply_scheme,
-    noise_block,
+    observation_schedule,
     observation_steps,
-    project_noise,
     step_batch,
 )
 from .metrics import exp_square_moment_bound, moment
@@ -123,10 +122,7 @@ def simulate_batch(config: SimConfig, runs: int | None = None, threads: int = 1)
     runs = config.runs if runs is None else runs
     source = BrownianSource(config.seed)
     projected = config.mode == "projected"
-    policy = config.step_policy
-    obs = observation_steps(config.observation_times, policy.dt)
-    pending = dict(zip(obs, range(len(obs))))
-    last = max(obs) if obs else 0
+    obs = observation_steps(config.observation_times, config.step_policy.dt)
 
     def run_chunk(chunk):
         streams = [config.stream_for_run(r) for r in chunk]
@@ -138,14 +134,14 @@ def simulate_batch(config: SimConfig, runs: int | None = None, threads: int = 1)
         )
         if projected:
             x = x - x.mean(axis=-2, keepdims=True)
+
+        def advance(x, k):
+            return step_batch(x, config.potential_V, config.potential_W, config.step_policy,
+                              source, streams, k, projected)
+
         out = np.empty((len(obs), len(chunk), config.n, config.dim))
-        if 0 in pending:
-            out[pending[0]] = x
-        for k in range(last):
-            x = step_batch(x, config.potential_V, config.potential_W, policy, source,
-                           streams, k, projected)
-            if k + 1 in pending:
-                out[pending[k + 1]] = x
+        for slots, x in observation_schedule(obs, x, advance):
+            out[slots] = x
         return out
 
     parts = _map_chunks(run_chunk, _chunks(runs, threads), threads)
@@ -158,10 +154,7 @@ def coupled_batch(config: SimConfig, law_a: InitialLaw, law_b: InitialLaw,
     xi_runs of shape (n_obs, runs)."""
     source = BrownianSource(config.seed)
     projected = config.mode == "projected"
-    policy = config.step_policy
-    obs = observation_steps(config.observation_times, policy.dt)
-    pending = dict(zip(obs, range(len(obs))))
-    last = max(obs) if obs else 0
+    obs = observation_steps(config.observation_times, config.step_policy.dt)
 
     def run_chunk(chunk):
         streams = [config.stream_for_run(r) for r in chunk]
@@ -174,20 +167,14 @@ def coupled_batch(config: SimConfig, law_a: InitialLaw, law_b: InitialLaw,
         if projected:
             xa = xa - xa.mean(axis=-2, keepdims=True)
             xb = xb - xb.mean(axis=-2, keepdims=True)
+
+        def advance(pair, k):
+            return coupled_step_batch(*pair, config.potential_V, config.potential_W,
+                                      config.step_policy, source, streams, k, projected)
+
         xi_out = np.empty((len(obs), len(chunk)))
-
-        def record(slot):
-            xi_out[slot] = np.mean(np.sum((xa - xb) ** 2, axis=-1), axis=-1)
-
-        if 0 in pending:
-            record(pending[0])
-        for k in range(last):
-            xa, xb = coupled_step_batch(
-                xa, xb, config.potential_V, config.potential_W, policy, source,
-                streams, k, projected,
-            )
-            if k + 1 in pending:
-                record(pending[k + 1])
+        for slots, (xa, xb) in observation_schedule(obs, (xa, xb), advance):
+            xi_out[slots] = np.mean(np.sum((xa - xb) ** 2, axis=-1), axis=-1)
         return xi_out
 
     parts = _map_chunks(run_chunk, _chunks(runs, threads), threads)
@@ -369,28 +356,24 @@ def _simulate_aux_trajectory(config, source, streams, m_aux, n_steps):
 
 
 def _chaos_errors_for_N(config, source, chunk, n, aux_traj, obs, policy):
-    """Max-over-time run errors |Y^1_t - Xbar^1_t|^2 for one system size."""
+    """Run errors |Y^1_t - Xbar^1_t|^2 at every observation for one system
+    size; the proxy Xbar^1 takes particle 0's unprojected increments."""
     streams = [config.stream_for_run(r) for r in chunk]
     x0 = np.stack([config.initial_law.sample(source, s, n, config.dim) for s in streams])
     y = x0 - x0.mean(axis=-2, keepdims=True)
     xbar = x0[:, :1, :].copy()
-    err = np.empty((len(obs), len(chunk)))
-    pending = dict(zip(obs, range(len(obs))))
 
-    def record(slot):
-        err[slot] = np.sum((y[:, 0, :] - xbar[:, 0, :]) ** 2, axis=-1)
-
-    if 0 in pending:
-        record(pending[0])
-    for k in range(max(obs)):
+    def advance(state, k):
+        y, xbar = state
         xi = batch_noise(source, streams, k, n, config.dim)
         by = drift(y, config.potential_V, config.potential_W)
-        y = apply_scheme(y, by, project_noise(xi), policy.dt, policy.scheme)
-        y = y - y.mean(axis=-2, keepdims=True)
         bx = _mean_field_drift(xbar, aux_traj[k], config.potential_W)
-        xbar = apply_scheme(xbar, bx, xi[:, :1, :], policy.dt, policy.scheme)
-        if k + 1 in pending:
-            record(pending[k + 1])
+        return (apply_scheme(y, by, xi, policy.dt, policy.scheme, projected=True),
+                apply_scheme(xbar, bx, xi[:, :1, :], policy.dt, policy.scheme))
+
+    err = np.empty((len(obs), len(chunk)))
+    for slots, (y, xbar) in observation_schedule(obs, (y, xbar), advance):
+        err[slots] = np.sum((y[:, 0, :] - xbar[:, 0, :]) ** 2, axis=-1)
     return err
 
 

@@ -15,15 +15,23 @@ SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4sIQQd")  # magic, version, N, d, time -> 32 bytes
 
 
-def write_snapshot_jsonl(path, snapshots, include_positions: bool = False):
-    """One JSON object per observation time: time, observables, and
+def write_snapshot_jsonl(path, times, positions: np.ndarray, include_positions: bool = False):
+    """One JSON object per (observation time, run) of positions shaped
+    (n_obs, runs, N, d): time, run, the mean squared position, and
     optionally the raw positions."""
     with open(path, "w") as fh:
-        for t, ens, obs in snapshots:
-            rec = {"time": t, "observables": obs}
-            if include_positions:
-                rec["positions"] = ens.positions.tolist()
-            fh.write(json.dumps(rec) + "\n")
+        for ti, t in enumerate(times):
+            for r in range(positions.shape[1]):
+                rec = {
+                    "time": float(t),
+                    "run": r,
+                    "observables": {
+                        "mean_sq": float(np.mean(np.sum(positions[ti, r] ** 2, axis=-1))),
+                    },
+                }
+                if include_positions:
+                    rec["positions"] = positions[ti, r].tolist()
+                fh.write(json.dumps(rec) + "\n")
 
 
 def write_positions_bin(path, positions: np.ndarray, time: float):

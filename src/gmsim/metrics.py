@@ -8,7 +8,7 @@ lower bound in d >= 2 and labeled as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -215,11 +215,3 @@ def exp_square_moment_bound(delta: float, lam: float, C: float, diffusion_bound_
         raise ValueError("bound requires delta < lambda / (2 A)")
     k = A * dim + C + 1.0
     return 1.0 + k * np.exp(delta * k / (lam - 2.0 * delta * A))
-
-
-def series_to_csv_rows(series, method: str = "", p: int = 0):
-    """Rows for the `time,value,stderr,method,p` CSV layout."""
-    rows = []
-    for t, v, s in zip(series.times, series.values, series.stderr):
-        rows.append((t, v, s, method, p))
-    return rows

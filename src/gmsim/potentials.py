@@ -10,7 +10,6 @@ are labeled as such.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -393,10 +392,3 @@ def with_dim(potential: Potential, dim: int) -> Potential:
     params = dict(potential.params)
     params["dim"] = int(dim)
     return replace(potential, params=params)
-
-
-def condition_constants_for_drift(lambda_W: float, C_W: float, n: int) -> tuple[float, float]:
-    """Contraction constants of the N-particle projected drift inherited
-    from the single-potential constants: on the zero-mean hyperplane
-    (x-y).(b(x)-b(y)) <= -lambda |x-y|^2 + C N / 2."""
-    return float(lambda_W), float(C_W) * n / 2.0

@@ -7,23 +7,20 @@ from hypothesis import given, settings, strategies as st
 from gmsim.dynamics import (
     InitialLaw,
     IntegrationError,
-    ParticleEnsemble,
     StabilityError,
     StepPolicy,
     apply_scheme,
     batch_noise,
     couple_initial,
-    coupled_simulate,
     coupled_step_batch,
     drift,
     noise_block,
+    observation_schedule,
     observation_steps,
-    project,
     project_noise,
-    simulate,
-    step,
     step_batch,
 )
+from gmsim.experiments import coupled_batch, simulate_batch
 from gmsim.potentials import power_law, quadratic, zero
 from gmsim.rng import BrownianSource
 
@@ -95,13 +92,10 @@ def test_drift_raises_on_nonfinite():
 
 def test_step_zero_potentials_is_pure_brownian():
     src = BrownianSource(3)
-    ens = ParticleEnsemble(np.zeros((4, 2)), seed=3, stream=0)
     policy = StepPolicy(scheme="euler", dt=0.25)
-    out = step(ens, zero(), zero(), policy, src)
+    out = step_batch(np.zeros((1, 4, 2)), zero(), zero(), policy, src, [0], 0)
     xi = noise_block(src, 0, 0, 4, 2)
-    np.testing.assert_array_equal(out.positions, np.sqrt(2 * 0.25) * xi)
-    assert out.steps_taken == 1
-    assert out.time == pytest.approx(0.25)
+    np.testing.assert_array_equal(out[0], np.sqrt(2 * 0.25) * xi)
 
 
 def test_tamed_close_to_euler_for_small_drift(rng):
@@ -116,38 +110,36 @@ def test_tamed_close_to_euler_for_small_drift(rng):
 
 def test_euler_blows_up_tamed_does_not():
     src = BrownianSource(11)
-    x0 = np.array([[10.0], [-10.0]])
+    x0 = np.array([[[10.0], [-10.0]]])
     policy_e = StepPolicy(scheme="euler", dt=0.01)
     policy_t = StepPolicy(scheme="tamed", dt=0.01)
-    ens = ParticleEnsemble(x0.copy(), seed=11)
+    x = x0.copy()
     with pytest.raises(IntegrationError):
-        for _ in range(100):
-            ens = step(ens, zero(), power_law(4.0), policy_e, src)
-    ens = ParticleEnsemble(x0.copy(), seed=11)
-    for _ in range(1000):
-        ens = step(ens, zero(), power_law(4.0), policy_t, src)
-    assert np.all(np.isfinite(ens.positions))
+        for k in range(100):
+            x = step_batch(x, zero(), power_law(4.0), policy_e, src, [0], k)
+    x = x0.copy()
+    for k in range(1000):
+        x = step_batch(x, zero(), power_law(4.0), policy_t, src, [0], k)
+    assert np.all(np.isfinite(x))
 
 
 def test_adaptive_handles_stiff_start_and_matches_cap():
     src = BrownianSource(5)
-    x0 = np.array([[8.0], [-8.0]])
+    x = np.array([[[8.0], [-8.0]]])
     policy = StepPolicy(scheme="adaptive", dt=0.01, adaptive_drift_cap=0.5)
-    ens = ParticleEnsemble(x0, seed=5)
-    for _ in range(50):
-        ens = step(ens, zero(), power_law(4.0), policy, src)
-    assert np.all(np.isfinite(ens.positions))
-    assert np.max(np.abs(ens.positions)) < 8.0
+    for k in range(50):
+        x = step_batch(x, zero(), power_law(4.0), policy, src, [0], k)
+    assert np.all(np.isfinite(x))
+    assert np.max(np.abs(x)) < 8.0
 
 
 def test_adaptive_raises_stability_error_at_dt_min():
     src = BrownianSource(5)
-    x0 = np.array([[50.0], [-50.0]])
+    x0 = np.array([[[50.0], [-50.0]]])
     policy = StepPolicy(scheme="adaptive", dt=0.01, adaptive_drift_cap=1e-6,
                         dt_min=0.005)
-    ens = ParticleEnsemble(x0, seed=5)
     with pytest.raises(StabilityError):
-        step(ens, zero(), power_law(4.0), policy, src)
+        step_batch(x0, zero(), power_law(4.0), policy, src, [0], 0)
 
 
 def test_step_policy_validation():
@@ -160,27 +152,30 @@ def test_step_policy_validation():
 # ---------------------------------------------------------------------------
 # projection
 
+def recentre(x):
+    # a projected update without drift or noise only recentres
+    still = np.zeros_like(x)
+    return apply_scheme(x, still, still, 0.01, "euler", projected=True)
+
+
 def test_project_subtracts_mean():
-    ens = ParticleEnsemble(np.array([[1.0], [2.0], [3.0]]))
-    out = project(ens)
-    np.testing.assert_allclose(out.positions, [[-1.0], [0.0], [1.0]])
-    assert out.centered
+    out = recentre(np.array([[[1.0], [2.0], [3.0]]]))
+    np.testing.assert_allclose(out, [[[-1.0], [0.0], [1.0]]])
 
 
 def test_project_idempotent(rng):
-    ens = project(ParticleEnsemble(rng.normal(size=(9, 2))))
-    again = project(ens)
-    np.testing.assert_allclose(again.positions, ens.positions, atol=1e-15)
+    once = recentre(rng.normal(size=(1, 9, 2)))
+    np.testing.assert_allclose(recentre(once), once, atol=1e-15)
 
 
 def test_projected_step_keeps_mean_zero():
     cfg = make_config(dynamics={"n": 12, "scheme": "tamed"})
     src = BrownianSource(cfg.seed)
-    ens = project(ParticleEnsemble(np.arange(12.0)[:, None], seed=cfg.seed))
-    for _ in range(20):
-        ens = step(ens, cfg.potential_V, cfg.potential_W, cfg.step_policy, src,
-                   projected=True)
-    assert abs(ens.positions.mean()) < 12 * np.finfo(float).eps * np.max(np.abs(ens.positions))
+    x = recentre(np.arange(12.0)[None, :, None])
+    for k in range(20):
+        x = step_batch(x, cfg.potential_V, cfg.potential_W, cfg.step_policy, src, [0], k,
+                       projected=True)
+    assert abs(x.mean()) < 12 * np.finfo(float).eps * np.max(np.abs(x))
 
 
 def test_projected_quadratic_difference_contracts_exactly():
@@ -215,22 +210,26 @@ def test_batch_noise_rows_match_single_blocks():
         np.testing.assert_array_equal(xi[r], noise_block(src, s, 4, 6, 2))
 
 
-def test_step_batch_bit_identical_to_single_run():
+def test_run_in_batch_is_bit_identical_to_run_alone():
     cfg = make_config(dynamics={"n": 8, "scheme": "tamed", "dt": 0.01})
+    V, W, policy = cfg.potential_V, cfg.potential_W, cfg.step_policy
     src = BrownianSource(cfg.seed)
     streams = [cfg.stream_for_run(r) for r in range(3)]
-    x = np.stack([cfg.initial_law.sample(src, s, 8, 1) for s in streams])
-    x -= x.mean(axis=-2, keepdims=True)
-    xb = x.copy()
-    for k in range(5):
-        xb = step_batch(xb, cfg.potential_V, cfg.potential_W, cfg.step_policy,
-                        src, streams, k, projected=True)
-    for r, s in enumerate(streams):
-        ens = ParticleEnsemble(x[r], seed=cfg.seed, stream=s, centered=True)
-        for _ in range(5):
-            ens = step(ens, cfg.potential_V, cfg.potential_W, cfg.step_policy,
-                       src, projected=True)
-        np.testing.assert_array_equal(xb[r], ens.positions)
+    x0 = np.stack([cfg.initial_law.sample(src, s, 8, 1) for s in streams])
+    x0 -= x0.mean(axis=-2, keepdims=True)
+
+    def run(rows):
+        x, xa, xb = x0[rows], x0[rows], 0.5 * x0[rows]
+        s = [streams[r] for r in rows]
+        for k in range(5):
+            x = step_batch(x, V, W, policy, src, s, k, projected=True)
+            xa, xb = coupled_step_batch(xa, xb, V, W, policy, src, s, k, projected=True)
+        return x, xa, xb
+
+    batch = run([0, 1, 2])
+    for r in range(3):
+        for in_batch, alone in zip(batch, run([r])):
+            np.testing.assert_array_equal(in_batch[r], alone[0])
 
 
 def test_coupled_difference_is_noise_free():
@@ -311,24 +310,24 @@ def test_couple_initial_unknown_coupling():
 
 
 # ---------------------------------------------------------------------------
-# simulate
+# observation schedule and drivers
 
 def test_observation_snapping():
     assert observation_steps([0.0, 0.1, 0.1999, 1.0], 0.1) == [0, 1, 1, 10]
 
 
+def test_observation_schedule_fills_every_slot_of_a_shared_step():
+    # the state counts the steps taken; slots 1 and 2 share step 2
+    seen = list(observation_schedule([0, 2, 2, 5], 0, lambda state, k: state + 1))
+    assert seen == [([0], 0), ([1, 2], 2), ([3], 5)]
+
+
 def test_simulate_horizon_zero_emits_initial_only():
     cfg = make_config(experiment={"horizon": 1.0, "obs_times": "0.0"})
-    snaps = list(simulate(cfg))
-    assert len(snaps) == 1
-    assert snaps[0][0] == 0.0
-    assert snaps[0][1].steps_taken == 0
-
-
-def test_simulate_observables_keys():
-    cfg = make_config(experiment={"obs_times": "0.0,0.1", "horizon": 0.1})
-    _, _, obs = list(simulate(cfg))[-1]
-    assert set(obs) == {"mean_sq", "pairwise_mean_sq", "mean_position_norm"}
+    times, pos = simulate_batch(cfg, runs=1)
+    assert times.tolist() == [0.0]
+    x0 = cfg.initial_law.sample(BrownianSource(cfg.seed), cfg.stream_for_run(0), cfg.n, cfg.dim)
+    np.testing.assert_array_equal(pos[0, 0], x0 - x0.mean(axis=-2, keepdims=True))
 
 
 def test_unprojected_mean_is_brownian():
@@ -338,8 +337,6 @@ def test_unprojected_mean_is_brownian():
         dynamics={"n": 8, "mode": "raw", "scheme": "euler", "dt": 0.01},
         experiment={"horizon": 0.5, "obs_times": "0.5", "runs": 256},
     )
-    from gmsim.experiments import simulate_batch
-
     _, pos = simulate_batch(cfg)
     means = pos[0].mean(axis=1)[:, 0]  # (runs,)
     init = np.stack([
@@ -360,8 +357,8 @@ def test_coupled_simulate_identical_start_stays_zero():
         initial_law={"kind": "two_point", "point_a": 0.0, "point_b": 0.0},
     )
     law = cfg.initial_law
-    xis = [xi for _, _, xi in coupled_simulate(cfg, law, law)]
-    assert xis == [0.0, 0.0, 0.0]
+    _, xi = coupled_batch(cfg, law, law, runs=1)
+    assert xi[:, 0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_coupled_simulate_quadratic_matches_linear_ode():
@@ -372,11 +369,10 @@ def test_coupled_simulate_quadratic_matches_linear_ode():
         initial_law={"kind": "gaussian", "sigma": 1.0},
     )
     law_b = InitialLaw(kind="gaussian", mean=(2.0,), sigma=0.5)
-    snaps = list(coupled_simulate(cfg, cfg.initial_law, law_b))
-    xi0 = snaps[0][2]
-    for t, _, xi in snaps[1:]:
+    times, xi = coupled_batch(cfg, cfg.initial_law, law_b, runs=1)
+    for t, v in zip(times[1:], xi[1:, 0]):
         # difference solves dZ/dt = -2Z exactly; squared distance decays at 4
-        assert xi == pytest.approx(xi0 * np.exp(-4.0 * t), rel=0.02)
+        assert v == pytest.approx(xi[0, 0] * np.exp(-4.0 * t), rel=0.02)
 
 
 def test_coupled_simulate_quartic_nonincreasing():
@@ -385,5 +381,6 @@ def test_coupled_simulate_quartic_nonincreasing():
         experiment={"horizon": 1.0, "obs_times": "0.0,0.25,0.5,0.75,1.0"},
     )
     law_b = InitialLaw(kind="gaussian", sigma=0.4)
-    xis = [xi for _, _, xi in coupled_simulate(cfg, cfg.initial_law, law_b)]
+    _, xi = coupled_batch(cfg, cfg.initial_law, law_b, runs=1)
+    xis = xi[:, 0].tolist()
     assert all(b <= a + 5 * 0.005 for a, b in zip(xis, xis[1:]))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,32 +99,20 @@ def test_simulate_batch_thread_invariance():
     np.testing.assert_array_equal(a, b)
 
 
-def test_simulate_batch_matches_generator():
-    from gmsim.dynamics import simulate
-
+def test_observations_snapping_to_one_step_are_all_filled():
+    # at dt = 0.1, 0.21 and 0.25 both snap to step 2, the step of t = 0.2
     cfg = make_config(
-        dynamics={"n": 6, "dt": 0.02},
-        experiment={"horizon": 0.2, "obs_times": "0.0,0.1,0.2", "runs": 3},
+        dynamics={"n": 6, "dt": 0.1},
+        experiment={"horizon": 1.0, "obs_times": "0.0,0.21,0.25,1.0", "runs": 2},
     )
-    times, pos = simulate_batch(cfg)
-    for r in range(3):
-        snaps = list(simulate(cfg, run=r))
-        for i, (t, ens, _) in enumerate(snaps):
-            assert t == times[i]
-            np.testing.assert_array_equal(pos[i, r], ens.positions)
-
-
-def test_coupled_batch_matches_generator():
-    from gmsim.dynamics import coupled_simulate
-
-    cfg = make_config(
-        dynamics={"n": 6, "dt": 0.02},
-        experiment={"horizon": 0.2, "obs_times": "0.0,0.1,0.2", "runs": 2},
-    )
+    on_grid = replace(cfg, observation_times=(0.0, 0.2, 1.0))
+    _, pos = simulate_batch(cfg)
+    _, pos_grid = simulate_batch(on_grid)
+    np.testing.assert_array_equal(pos, pos_grid[[0, 1, 1, 2]])
     law_b = InitialLaw(kind="gaussian", sigma=0.5)
-    times, xi_runs = coupled_batch(cfg, cfg.initial_law, law_b, runs=2)
-    gen_xi = [xi for _, _, xi in coupled_simulate(cfg, cfg.initial_law, law_b)]
-    np.testing.assert_allclose(xi_runs[:, 0], gen_xi, atol=1e-15)
+    _, xi = coupled_batch(cfg, cfg.initial_law, law_b, runs=2)
+    _, xi_grid = coupled_batch(on_grid, cfg.initial_law, law_b, runs=2)
+    np.testing.assert_array_equal(xi, xi_grid[[0, 1, 1, 2]])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from gmsim.dynamics import ParticleEnsemble
 from gmsim.io import (
     SNAPSHOT_MAGIC,
     experiment_paths,
@@ -44,12 +43,17 @@ def test_positions_bin_bad_magic(tmp_path):
 
 def test_snapshot_jsonl(tmp_path, rng):
     path = tmp_path / "snaps.jsonl"
-    ens = ParticleEnsemble(rng.normal(size=(3, 1)))
-    write_snapshot_jsonl(path, [(0.5, ens, {"mean_sq": 1.0})], include_positions=True)
-    rec = json.loads(path.read_text().splitlines()[0])
-    assert rec["time"] == 0.5
-    assert rec["observables"] == {"mean_sq": 1.0}
-    assert np.asarray(rec["positions"]).shape == (3, 1)
+    pos = rng.normal(size=(2, 3, 4, 1))  # (n_obs, runs, N, d)
+    write_snapshot_jsonl(path, [0.0, 0.5], pos, include_positions=True)
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(rec["time"], rec["run"]) for rec in recs] == [
+        (t, r) for t in (0.0, 0.5) for r in range(3)
+    ]
+    last = recs[-1]
+    assert last["observables"] == {"mean_sq": float(np.mean(np.sum(pos[1, 2] ** 2, axis=-1)))}
+    np.testing.assert_array_equal(last["positions"], pos[1, 2])
+    write_snapshot_jsonl(path, [0.0], pos[:1])
+    assert "positions" not in json.loads(path.read_text().splitlines()[0])
 
 
 def test_series_csv(tmp_path):

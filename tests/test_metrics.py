@@ -15,7 +15,6 @@ from gmsim.metrics import (
     exp_square_moment_bound,
     moment,
     pairwise_moment,
-    series_to_csv_rows,
     sliced_w2,
     wasserstein_1d,
 )
@@ -263,9 +262,3 @@ def test_exp_square_moment_bound_formula():
     assert val == pytest.approx(1.0 + k * np.exp(0.1 * k / (1.0 - 0.4)))
     with pytest.raises(ValueError):
         exp_square_moment_bound(0.3, 1.0, 0.0, 2.0, 1)
-
-
-def test_series_to_csv_rows():
-    series = MomentSeries([0.0, 1.0], 2, [1.0, 2.0], [0.1, 0.2])
-    rows = series_to_csv_rows(series, method="moment", p=2)
-    assert rows == [(0.0, 1.0, 0.1, "moment", 2), (1.0, 2.0, 0.2, "moment", 2)]

@@ -11,7 +11,6 @@ from gmsim.potentials import (
     check_convexity_at_infinity,
     check_polynomial_growth,
     check_declared,
-    condition_constants_for_drift,
     power_law,
     quadratic,
     sampled,
@@ -265,9 +264,3 @@ def test_check_declared_covers_declared_constants():
 def test_with_dim_probes_in_higher_dimension():
     rep = check_condition_C(with_dim(power_law(4.0), 2), 4.0, 2.0, probes=256)
     assert rep.satisfied
-
-
-def test_condition_constants_for_drift_scaling():
-    lam, C = condition_constants_for_drift(2.0, 3.0, n=10)
-    assert lam == 2.0
-    assert C == 15.0
