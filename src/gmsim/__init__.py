@@ -25,7 +25,6 @@ from .dynamics import (
 )
 from .metrics import (
     moment,
-    pairwise_moment,
     wasserstein_1d,
     assignment_exact,
     sliced_w2,

@@ -1,7 +1,9 @@
 """Command-line surface.
 
-Subcommands: check-potential, simulate, decay, chaos-scan, concentration,
-report.  Exit codes: 0 success, 1 usage/config errors, 2 experiment-bound
+Subcommands: check-potential, simulate, and report, and the five
+experiments decay, chaos-scan, uniform-moments, exp-square-moment and
+concentration, each of which writes `<experiment>-<hash>.json` and `.csv`.
+Exit codes: 0 success, 1 usage/config errors, 2 experiment-bound
 violations.  Human diagnostics go to stderr; machine output goes to files
 and stdout only.
 """
@@ -18,6 +20,7 @@ import numpy as np
 
 from . import experiments, io as gio
 from .config import ConfigError, SimConfig, config_hash, parse_config, validate_potentials
+from .dynamics import IntegrationError
 from .potentials import check_declared
 
 EXIT_OK = 0
@@ -58,6 +61,9 @@ def _build_parser():
                     choices=sorted(experiments.LIPSCHITZ_FUNCTIONS))
     sp.add_argument("--trials", type=int, default=400)
     sp.add_argument("--time", type=float, default=None)
+    common(sub.add_parser("uniform-moments", help="uniform-in-time second moment"))
+    common(sub.add_parser("exp-square-moment",
+                          help="exponential square moment against its closed form"))
     sp = sub.add_parser("report", help="summarize experiment outputs")
     common(sp, config_required=False)
     return p
@@ -111,6 +117,15 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _finish(cfg, experiment, result, flags, rows, header) -> int:
+    """Write an experiment's summary JSON and CSV series, print the JSON
+    path, and exit 0 exactly when every flag passes."""
+    json_path, _ = experiments.write_experiment_outputs(cfg, experiment, result, flags,
+                                                        rows, header)
+    print(json_path)
+    return EXIT_OK if all(flags.values()) else EXIT_BOUND
+
+
 def _cmd_decay(args) -> int:
     cfg = _load_config(args)
     uniform = cfg.potential_W.declared_alpha == 0.0
@@ -124,11 +139,7 @@ def _cmd_decay(args) -> int:
         (float(t), float(v), float(s), "coupled-upper", 2)
         for t, v, s in zip(res.times, res.xi, res.xi_stderr)
     ]
-    jp, cp = experiments.write_experiment_outputs(
-        cfg, "decay", res, flags, rows, ("time", "value", "stderr", "method", "p")
-    )
-    print(jp)
-    return EXIT_OK if all(flags.values()) else EXIT_BOUND
+    return _finish(cfg, "decay", res, flags, rows, ("time", "value", "stderr", "method", "p"))
 
 
 def _cmd_chaos_scan(args) -> int:
@@ -148,11 +159,7 @@ def _cmd_chaos_scan(args) -> int:
         (n, e, s, "chaos-scan", 2)
         for n, e, s in zip(res.N_values, res.errors, res.stderrs)
     ]
-    jp, _ = experiments.write_experiment_outputs(
-        cfg, "chaos-scan", res, flags, rows, ("N", "value", "stderr", "method", "p")
-    )
-    print(jp)
-    return EXIT_OK if flags["errors_decreasing"] and flags["slope_fast_enough"] else EXIT_BOUND
+    return _finish(cfg, "chaos-scan", vars(res), flags, rows, ("N", "value", "stderr", "method", "p"))
 
 
 def _cmd_concentration(args) -> int:
@@ -166,11 +173,34 @@ def _cmd_concentration(args) -> int:
         (float(r), float(t), "", "tail", "")
         for r, t in zip(res.r_grid, res.empirical_tail)
     ]
-    jp, _ = experiments.write_experiment_outputs(
-        cfg, "concentration", res, flags, rows, ("r", "value", "stderr", "method", "p")
-    )
-    print(jp)
-    return EXIT_OK if all(flags.values()) else EXIT_BOUND
+    return _finish(cfg, "concentration", vars(res), flags, rows, ("r", "value", "stderr", "method", "p"))
+
+
+def _cmd_uniform_moments(args) -> int:
+    cfg = _load_config(args)
+    series, info = experiments.uniform_moment_experiment(cfg, threads=args.threads)
+    rows = [
+        (float(t), v, s, "moment", series.order_2k)
+        for t, v, s in zip(series.times, series.values, series.stderr)
+    ]
+    return _finish(cfg, "uniform-moments", {**vars(series), **info},
+                   {"zero_trend": info["accepted"]}, rows, ("time", "value", "stderr", "method", "p"))
+
+
+def _cmd_exp_square_moment(args) -> int:
+    cfg = _load_config(args)
+    series, info = experiments.exp_square_moment_experiment(cfg, threads=args.threads)
+    est, se, closed = np.asarray(series.values), np.asarray(series.stderr), info["closed_form"]
+    flags = {
+        "closed_form_ok": bool(np.all(np.abs(est - closed) <= 3.0 * se)),
+        "below_bound": bool(np.all(est < info["bound"])),
+    }
+    rows = [
+        (float(t), v, s, float(c), info["bound"])
+        for t, v, s, c in zip(series.times, series.values, series.stderr, closed)
+    ]
+    return _finish(cfg, "exp-square-moment", {**vars(series), **info}, flags, rows,
+                   ("time", "value", "stderr", "closed_form", "bound"))
 
 
 def _cmd_report(args) -> int:
@@ -194,6 +224,8 @@ _COMMANDS = {
     "decay": _cmd_decay,
     "chaos-scan": _cmd_chaos_scan,
     "concentration": _cmd_concentration,
+    "uniform-moments": _cmd_uniform_moments,
+    "exp-square-moment": _cmd_exp_square_moment,
     "report": _cmd_report,
 }
 
@@ -210,7 +242,7 @@ def run_cli(argv=None) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -61,12 +61,16 @@ class SimConfig:
     output_dir: str
     output_formats: tuple
 
-    # Runs own disjoint stream ids; nearby offsets are reserved for the
-    # coupled partner's initial draw and auxiliary ensembles.
+    # Run r owns the STREAM_STRIDE stream ids from STREAM_STRIDE * r: its
+    # particles draw from the first, and each role below from the id at
+    # its offset.
     STREAM_STRIDE = 8
+    PARTNER_STREAM = 1  # the coupled partner's initial draw
+    AUX_STREAM = 2  # the chaos scan's auxiliary ensemble
+    HALF_AUX_STREAM = 3  # its half-size copy for the proxy-bias check
 
-    def stream_for_run(self, run: int) -> int:
-        return self.STREAM_STRIDE * int(run)
+    def stream_for_run(self, run: int, role: int = 0) -> int:
+        return self.STREAM_STRIDE * int(run) + role
 
 
 def _parse_scalar(raw: str):
@@ -222,6 +226,8 @@ def parse_config(text: str) -> SimConfig:
         stride = float(exp.get("obs_stride", max(horizon / 20.0, policy.dt)))
         count = int(exp.get("obs_count", int(round(horizon / stride)) + 1))
         obs = tuple(float(t) for t in np.round(np.arange(count) * stride, 12))
+    if not obs:
+        errors.append("[experiment] at least one observation time is required")
     if any(t < 0 or t > horizon + 1e-9 for t in obs):
         errors.append("[experiment] observation times must lie in [0, horizon]")
     if list(obs) != sorted(set(obs)):

@@ -108,7 +108,7 @@ def drift(positions: np.ndarray, V: Potential, W: Potential) -> np.ndarray:
         b = b - V.grad(x)
     if not np.all(np.isfinite(b)):
         bad = np.argwhere(~np.isfinite(b))
-        raise IntegrationError(f"non-finite drift at entry {tuple(bad[0])}")
+        raise IntegrationError(f"non-finite drift at entry {bad[0].tolist()}")
     return b
 
 
@@ -123,10 +123,20 @@ def noise_block(
     return vals[offset:].reshape(n, dim)
 
 
-def project_noise(xi: np.ndarray) -> np.ndarray:
-    """Remove the ensemble-mean component of the increments, realizing the
-    projected system's driving noise sqrt(2)(dB^i - mean_j dB^j)."""
-    return xi - xi.mean(axis=-2, keepdims=True)
+def project(x: np.ndarray) -> np.ndarray:
+    """Remove the ensemble mean over the particle axis: the projection onto
+    the zero-mean hyperplane, of positions or of the increments, where it
+    realizes the projected system's driving noise sqrt(2)(dB^i - mean_j dB^j)."""
+    return x - x.mean(axis=-2, keepdims=True)
+
+
+def initial_batch(draw, streams, projected: bool = False) -> np.ndarray:
+    """Initial state of a batch of runs: draw(stream) for each run's
+    stream, stacked on a run axis in front of the (N, d) axes and projected
+    in projected mode.  When draw returns a coupled pair of ensembles, the
+    pair axis leads: (2, runs, N, d)."""
+    x = np.stack([draw(s) for s in streams], axis=-3)
+    return project(x) if projected else x
 
 
 def apply_scheme(
@@ -138,7 +148,7 @@ def apply_scheme(
     their ensemble mean and the result is recentred on the zero-mean
     hyperplane; a non-finite result raises IntegrationError."""
     if projected:
-        xi = project_noise(xi)
+        xi = project(xi)
     if scheme == EULER:
         x_new = x + b * dt + np.sqrt(2.0 * dt) * xi
     elif scheme == TAMED:
@@ -149,9 +159,7 @@ def apply_scheme(
     if not np.all(np.isfinite(x_new)):
         bad = np.argwhere(~np.isfinite(x_new))
         raise IntegrationError(f"non-finite position at entry {bad[0].tolist()}")
-    if projected:
-        x_new = x_new - x_new.mean(axis=-2, keepdims=True)
-    return x_new
+    return project(x_new) if projected else x_new
 
 
 def _adaptive_step(x, V, W, policy, source, stream, step_index, projected):

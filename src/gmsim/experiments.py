@@ -1,10 +1,11 @@
 """Pre-built experiment harnesses: synchronous-coupling decay, the
 propagation-of-chaos scan against a mean-field proxy, uniform moment
-tracking, and the concentration/deviation suite.
+tracking, the exponential square-moment benchmark, and the
+concentration/deviation suite.
 
-Each harness returns a result dataclass with the fitted constants and
-pass/fail flags, and can be serialized to a JSON summary plus a CSV time
-series named `<experiment>-<confighash>`.
+Each harness returns its series and fitted constants; the CLI derives the
+pass/fail flags and writes them with write_experiment_outputs as a JSON
+summary plus a CSV series named `<experiment>-<confighash>`.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ from .dynamics import (
     couple_initial,
     drift,
     apply_scheme,
+    initial_batch,
     observation_schedule,
     observation_steps,
+    project,
     step_batch,
 )
-from .metrics import exp_square_moment_bound, moment
-from .potentials import check_convexity_at_infinity, with_dim
+from .metrics import exp_square_moment, exp_square_moment_bound, moment
+from .potentials import QUADRATIC, check_convexity_at_infinity, with_dim
 from .rng import BrownianSource
 
 
@@ -126,14 +129,8 @@ def simulate_batch(config: SimConfig, runs: int | None = None, threads: int = 1)
 
     def run_chunk(chunk):
         streams = [config.stream_for_run(r) for r in chunk]
-        x = np.stack(
-            [
-                config.initial_law.sample(source, s, config.n, config.dim)
-                for s in streams
-            ]
-        )
-        if projected:
-            x = x - x.mean(axis=-2, keepdims=True)
+        x = initial_batch(lambda s: config.initial_law.sample(source, s, config.n, config.dim),
+                          streams, projected)
 
         def advance(x, k):
             return step_batch(x, config.potential_V, config.potential_W, config.step_policy,
@@ -158,15 +155,11 @@ def coupled_batch(config: SimConfig, law_a: InitialLaw, law_b: InitialLaw,
 
     def run_chunk(chunk):
         streams = [config.stream_for_run(r) for r in chunk]
-        pairs = [
-            couple_initial(law_a, law_b, source, s, s + 1, config.n, config.dim, coupling)
-            for s in streams
-        ]
-        xa = np.stack([p[0] for p in pairs])
-        xb = np.stack([p[1] for p in pairs])
-        if projected:
-            xa = xa - xa.mean(axis=-2, keepdims=True)
-            xb = xb - xb.mean(axis=-2, keepdims=True)
+        xa, xb = initial_batch(
+            lambda s: couple_initial(law_a, law_b, source, s, s + config.PARTNER_STREAM,
+                                     config.n, config.dim, coupling),
+            streams, projected,
+        )
 
         def advance(pair, k):
             return coupled_step_batch(*pair, config.potential_V, config.potential_W,
@@ -204,22 +197,9 @@ class DecayResult:
     fit_windows: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "times": self.times,
-            "xi": self.xi,
-            "xi_stderr": self.xi_stderr,
-            "A_alpha": self.A_alpha,
-            "B_alpha": self.B_alpha,
-            "t1_bound": self.t1_bound,
-            "t1_empirical": self.t1_empirical,
-            "tail_slope": self.tail_slope,
-            "exp_rate": self.exp_rate,
-            "monotonicity_defect": self.monotonicity_defect,
-            "envelope_ok": self.envelope_ok,
-            "first_violation_time": self.first_violation_time,
-            "runs": self.runs,
-            "fit_windows": self.fit_windows,
-        }
+        # the envelopes follow from times, xi[0] and the declared constants
+        return {k: v for k, v in vars(self).items()
+                if k not in ("envelope_poly", "envelope_exp")}
 
 
 def decay_experiment(
@@ -330,9 +310,6 @@ class ChaosScanResult:
     proxy_bias_warning: bool
     proxy_bias_ratio: float
 
-    def to_json(self):
-        return self.__dict__.copy()
-
 
 def _mean_field_drift(x: np.ndarray, aux: np.ndarray, W) -> np.ndarray:
     """Drift of the nonlinear proxy: -(1/M) sum_k grad W(x - z_k), with the
@@ -344,8 +321,8 @@ def _mean_field_drift(x: np.ndarray, aux: np.ndarray, W) -> np.ndarray:
 def _simulate_aux_trajectory(config, source, streams, m_aux, n_steps):
     """Projected M-particle system per run; returns (n_steps+1, runs, M, d)
     holding the state at the start of every step."""
-    x = np.stack([config.initial_law.sample(source, s, m_aux, config.dim) for s in streams])
-    x = x - x.mean(axis=-2, keepdims=True)
+    x = initial_batch(lambda s: config.initial_law.sample(source, s, m_aux, config.dim),
+                      streams, projected=True)
     traj = np.empty((n_steps + 1, len(streams), m_aux, config.dim))
     traj[0] = x
     for k in range(n_steps):
@@ -359,8 +336,8 @@ def _chaos_errors_for_N(config, source, chunk, n, aux_traj, obs, policy):
     """Run errors |Y^1_t - Xbar^1_t|^2 at every observation for one system
     size; the proxy Xbar^1 takes particle 0's unprojected increments."""
     streams = [config.stream_for_run(r) for r in chunk]
-    x0 = np.stack([config.initial_law.sample(source, s, n, config.dim) for s in streams])
-    y = x0 - x0.mean(axis=-2, keepdims=True)
+    x0 = initial_batch(lambda s: config.initial_law.sample(source, s, n, config.dim), streams)
+    y = project(x0)
     xbar = x0[:, :1, :].copy()
 
     def advance(state, k):
@@ -401,14 +378,14 @@ def chaos_scan(
     source = BrownianSource(config.seed)
 
     def run_chunk(chunk):
-        aux_streams = [config.stream_for_run(r) + 2 for r in chunk]
+        aux_streams = [config.stream_for_run(r, config.AUX_STREAM) for r in chunk]
         aux = _simulate_aux_trajectory(config, source, aux_streams, M_reference, n_steps)
         per_n = [
             _chaos_errors_for_N(config, source, chunk, n, aux, obs, policy)
             for n in N_values
         ]
         if bias_check:
-            half_streams = [config.stream_for_run(r) + 3 for r in chunk]
+            half_streams = [config.stream_for_run(r, config.HALF_AUX_STREAM) for r in chunk]
             aux_half = _simulate_aux_trajectory(
                 config, source, half_streams, M_reference // 2, n_steps
             )
@@ -478,6 +455,46 @@ def uniform_moment_experiment(config: SimConfig, runs: int | None = None,
 
 
 # ---------------------------------------------------------------------------
+# exponential square moment
+
+# Squared Hilbert-Schmidt norm of the sqrt(2) unit diffusion per coordinate:
+# the A of the exponential square-moment bound.
+DIFFUSION_BOUND_A = 2.0
+
+
+def exp_square_moment_experiment(config: SimConfig, delta: float = 0.1, threads: int = 1):
+    """E exp(delta |X_t - Y_t|^2) for two independent copies, the second at
+    seed + 1; returns the estimated series and its closed form and the
+    a-priori bound from the declared (lambda, C) of potential_V.
+
+    The closed form needs independent linear-drift particles from a point
+    mass: V = kappa |x|^2, no interaction, raw mode.  Then X_t - Y_t is
+    N(0, (1 - e^{-4 kappa t}) / kappa) per coordinate, and
+    E exp(delta |X_t - Y_t|^2) = (1 - 2 delta (1 - e^{-4 kappa t}) / kappa)^{-d/2}.
+    """
+    V, law = config.potential_V, config.initial_law
+    if not (V.kind == QUADRATIC and config.potential_W.is_zero and config.mode == "raw"
+            and law.kind == "two_point" and law.point_a == law.point_b):
+        raise ValueError(
+            "exp_square_moment_experiment needs a quadratic potential_V, a zero "
+            "potential_W, mode = raw and a point-mass two_point initial law"
+        )
+    lam = V.declared_lambda
+    bound = exp_square_moment_bound(delta, lam, V.declared_C, DIFFUSION_BOUND_A, config.dim)
+    times, pos_x = simulate_batch(config, threads=threads)
+    _, pos_y = simulate_batch(replace(config, seed=config.seed + 1), threads=threads)
+    sq = np.sum((pos_x - pos_y) ** 2, axis=-1).reshape(len(times), -1)
+    series = exp_square_moment(sq, delta, times=list(times), lambda_hat=lam,
+                               diffusion_bound_A=DIFFUSION_BOUND_A)
+    kappa = V.params["kappa"]
+    spread = (1.0 - np.exp(-4.0 * kappa * times)) / kappa
+    return series, {
+        "closed_form": (1.0 - 2.0 * delta * spread) ** (-config.dim / 2.0),
+        "bound": float(bound),
+    }
+
+
+# ---------------------------------------------------------------------------
 # concentration / deviation suite
 
 LIPSCHITZ_FUNCTIONS = {
@@ -504,9 +521,6 @@ class ConcentrationResult:
     trials: int
     T: float
 
-    def to_json(self):
-        return self.__dict__.copy()
-
 
 def pipeline_t1_constant(config: SimConfig, probes: int = 512, extent: float = 4.0) -> float:
     """Per-particle T_1 constant derived from the fitted convexity-at-
@@ -521,9 +535,8 @@ def pipeline_t1_constant(config: SimConfig, probes: int = 512, extent: float = 4
         lam, C = rep.fitted_constants["lambda"], rep.fitted_constants["C"]
     if lam <= 0.0:
         return float("inf")
-    diffusion = 2.0  # squared HS norm of the sqrt(2) unit diffusion per coordinate
-    delta = lam / (4.0 * diffusion)
-    bound = exp_square_moment_bound(delta, lam, C, diffusion, config.dim)
+    delta = lam / (4.0 * DIFFUSION_BOUND_A)
+    bound = exp_square_moment_bound(delta, lam, C, DIFFUSION_BOUND_A, config.dim)
     return 2.0 * (1.0 + math.log(bound)) / delta
 
 

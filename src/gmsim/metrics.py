@@ -27,9 +27,6 @@ class MomentSeries:
         if not (len(self.times) == len(self.values) == len(self.stderr)):
             raise ValueError("times, values and stderr must have equal length")
 
-    def to_rows(self):
-        return list(zip(self.times, self.values, self.stderr))
-
 
 @dataclass
 class DistanceEstimate:
@@ -64,24 +61,6 @@ def moment(positions: np.ndarray, order_2k: int, times=None) -> MomentSeries:
         x = x[None]
     sq = np.sum(x * x, axis=-1)
     per_run = (sq ** (order_2k / 2)).mean(axis=-1)  # (n_times, runs)
-    vals, ses = _mc_mean(per_run.T)
-    if times is None:
-        times = list(range(x.shape[0]))
-    return MomentSeries(list(times), order_2k, [float(v) for v in vals], [float(s) for s in ses])
-
-
-def pairwise_moment(positions: np.ndarray, order_2k: int, times=None) -> MomentSeries:
-    """E |X^i - X^j|^{2k} averaged over ordered pairs i != j and runs."""
-    if order_2k < 2 or order_2k % 2:
-        raise ValueError("order must be an even integer >= 2")
-    x = np.asarray(positions, dtype=float)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
-    n = x.shape[-2]
-    diff = x[..., :, None, :] - x[..., None, :, :]
-    sq = np.sum(diff * diff, axis=-1) ** (order_2k / 2)
-    per_run = sq.sum(axis=(-2, -1)) / (n * (n - 1))  # (n_times, runs)
     vals, ses = _mc_mean(per_run.T)
     if times is None:
         times = list(range(x.shape[0]))

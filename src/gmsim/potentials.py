@@ -286,14 +286,19 @@ def check_convexity_at_infinity(
             if lam > best_lambda:
                 best_lambda = lam
                 best_C = C_lam
-    bound = best_lambda * sq - best_C
+    return _a4_report(sq, dot, best_lambda, best_C, extent, tolerance)
+
+
+def _a4_report(sq, dot, lam, C, extent, tolerance=None) -> ConditionReport:
+    """A4 report for (lambda, C) from the probe products of _pair_products."""
+    bound = lam * sq - C
     worst = float(np.max(bound - dot))
     tol = default_tolerance(float(np.max(np.abs(bound)))) if tolerance is None else tolerance
     return ConditionReport(
         condition_name="A4_conv_at_infinity",
-        fitted_constants={"lambda": float(best_lambda), "C": float(best_C)},
+        fitted_constants={"lambda": float(lam), "C": float(C)},
         worst_violation=worst,
-        probe_count=x.shape[0],
+        probe_count=sq.shape[0],
         probe_extent=float(extent),
         tolerance=tol,
     )
@@ -358,20 +363,8 @@ def check_declared(potential: Potential, probes: int = 256, extent: float = 4.0,
     if potential.declared_lambda > 0.0:
         x, y = _probe_pairs(_dim_of(potential), probes, extent, probe_seed)
         sq, dot = _pair_products(potential, x, y)
-        bound = potential.declared_lambda * sq - potential.declared_C
-        worst = float(np.max(bound - dot))
         reports.append(
-            ConditionReport(
-                condition_name="A4_conv_at_infinity",
-                fitted_constants={
-                    "lambda": potential.declared_lambda,
-                    "C": potential.declared_C,
-                },
-                worst_violation=worst,
-                probe_count=x.shape[0],
-                probe_extent=float(extent),
-                tolerance=default_tolerance(float(np.max(np.abs(bound)))),
-            )
+            _a4_report(sq, dot, potential.declared_lambda, potential.declared_C, extent)
         )
     if potential.growth_exponent_m >= 0 and potential.kind != ZERO:
         reports.append(

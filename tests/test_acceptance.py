@@ -18,16 +18,12 @@ from gmsim.experiments import (
     chaos_scan,
     concentration_suite,
     decay_experiment,
+    exp_square_moment_experiment,
     simulate_batch,
     uniform_convex_decay,
     uniform_moment_experiment,
 )
-from gmsim.metrics import (
-    assignment_exact,
-    exp_square_moment,
-    exp_square_moment_bound,
-    wasserstein_1d,
-)
+from gmsim.metrics import assignment_exact, exp_square_moment_bound, wasserstein_1d
 from gmsim.potentials import power_law, quadratic, zero
 
 from conftest import config_text, make_config
@@ -143,15 +139,10 @@ def test_criterion_06_exp_square_moment_ou_benchmark():
                     "seed": 21},
     )
     cfg = parse_config(text)
-    from dataclasses import replace
-
-    times, pos_x = simulate_batch(cfg)
-    _, pos_y = simulate_batch(replace(cfg, seed=cfg.seed + 1))
-    sq = np.sum((pos_x - pos_y) ** 2, axis=-1).reshape(len(times), -1)
     delta = 0.1
-    series = exp_square_moment(sq, delta, times=list(times))
+    series, _ = exp_square_moment_experiment(cfg, delta=delta)
     bound = exp_square_moment_bound(delta, lam=1.0, C=0.0, diffusion_bound_A=2.0, dim=1)
-    for t, est, se in zip(times, series.values, series.stderr):
+    for t, est, se in zip(series.times, series.values, series.stderr):
         closed = (1.0 - 2.0 * delta * 2.0 * (1.0 - math.exp(-2.0 * t))) ** -0.5
         assert abs(est - closed) <= 3.0 * se, f"t={t}: {est} vs {closed} (se {se})"
         assert est < bound

@@ -2,10 +2,12 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gmsim import experiments
 from gmsim.cli import EXIT_BOUND, EXIT_OK, EXIT_USAGE, run_cli
 from gmsim.config import (
     ConfigError,
@@ -75,6 +77,11 @@ def test_observation_times_validated():
         make_config(experiment={"obs_times": "0.0,2.0", "horizon": 1.0})
 
 
+def test_empty_observation_list_rejected():
+    with pytest.raises(ConfigError, match="at least one observation time"):
+        make_config(experiment={"obs_times": None, "obs_stride": 0.5, "obs_count": 0})
+
+
 def test_obs_stride_generates_grid():
     cfg = make_config(experiment={"obs_times": None, "obs_stride": 0.25,
                                   "obs_count": 5, "horizon": 1.0})
@@ -112,6 +119,15 @@ def test_validate_potentials_rejects_false_declaration():
                                    "alpha": 0.0, "p": None})
     with pytest.raises(ConfigError, match="C_A_alpha"):
         validate_potentials(cfg)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(__file__).resolve().parent.parent.glob("configs/*.cfg")),
+    ids=lambda p: p.name,
+)
+def test_shipped_config_parses_and_validates(path):
+    reports = validate_potentials(parse_config(path.read_text()))
+    assert all(rep.satisfied for _, rep in reports)
 
 
 def test_potential_parameter_errors_reported():
@@ -215,6 +231,68 @@ def test_cli_decay_quadratic(tmp_path, capsys):
     # config echo re-validates to the same hash
     echoed = parse_config(summary["config_echo"])
     assert config_hash(echoed) == summary["config_hash"]
+
+
+def test_cli_integration_error_is_one_line(tmp_path, capsys):
+    path = write_cfg(
+        tmp_path,
+        dynamics={"n": 4, "scheme": "euler"},
+        initial_law={"kind": "gaussian", "sigma": 20.0},
+        output={"dir": str(tmp_path / "out")},
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli(["simulate", "--config", path, "--seed", "1"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite drift at entry [0, 0, 0]")
+    assert err.count("\n") == 1
+
+
+def test_cli_uniform_and_exp_square_moments_reach_report(tmp_path, capsys):
+    out = tmp_path / "out"
+    moments = write_cfg(
+        tmp_path,
+        experiment={"horizon": 1.0, "obs_times": None, "obs_stride": 0.25,
+                    "obs_count": 5, "runs": 4},
+        output={"dir": str(out)},
+    )
+    assert run_cli(["uniform-moments", "--config", moments, "--seed", "2"]) == EXIT_OK
+    ou = tmp_path / "ou.cfg"
+    ou.write_text(config_text(
+        potential_V={"kind": "quadratic", "kappa": 0.5, "lambda": 1.0, "C": 0.0},
+        potential_W={"kind": "zero", "p": None, "m": None, "A": None, "alpha": None},
+        dynamics={"n": 32, "mode": "raw", "scheme": "euler", "dt": 0.01},
+        initial_law={"kind": "two_point", "point_a": 0.0, "point_b": 0.0},
+        experiment={"horizon": 0.5, "obs_times": "0.25,0.5", "runs": 8},
+        output={"dir": str(out)},
+    ))
+    assert run_cli(["exp-square-moment", "--config", str(ou), "--seed", "3"]) == EXIT_OK
+    paths = capsys.readouterr().out.split()
+    assert [os.path.basename(p).split("-")[0] for p in paths] == ["uniform", "exp"]
+    for p in paths:
+        assert os.path.exists(p[: -len(".json")] + ".csv")
+    run_cli(["report", "--seed", "0", "--out", str(out)])
+    report = capsys.readouterr().out
+    assert "uniform-moments [" in report and "zero_trend=pass" in report
+    assert "exp-square-moment [" in report
+    assert "closed_form_ok=pass" in report and "below_bound=pass" in report
+
+
+def test_cli_chaos_scan_proxy_bias_exits_bound(tmp_path, capsys, monkeypatch):
+    def biased_scan(config, N_values, M_reference, runs_per_N, threads=1):
+        return experiments.ChaosScanResult(
+            N_values=[8, 16], errors=[0.2, 0.1], stderrs=[0.01, 0.01],
+            fitted_slope=-1.0, predicted_slope=-1.0 / 3.0, K_fitted=1.0,
+            M_reference=M_reference, runs_per_N=runs_per_N,
+            proxy_bias_warning=True, proxy_bias_ratio=0.5,
+        )
+
+    monkeypatch.setattr(experiments, "chaos_scan", biased_scan)
+    path = write_cfg(tmp_path, output={"dir": str(tmp_path / "out")})
+    assert run_cli(["chaos-scan", "--config", path, "--seed", "1"]) == EXIT_BOUND
+    summary = json.loads(open(capsys.readouterr().out.strip()).read())
+    assert summary["flags"] == {"errors_decreasing": True, "slope_fast_enough": True,
+                                "proxy_bias_ok": False}
 
 
 def test_cli_report_aggregates_flags(tmp_path, capsys):

@@ -17,7 +17,7 @@ from gmsim.dynamics import (
     noise_block,
     observation_schedule,
     observation_steps,
-    project_noise,
+    project,
     step_batch,
 )
 from gmsim.experiments import coupled_batch, simulate_batch
@@ -198,7 +198,7 @@ def test_projected_quadratic_difference_contracts_exactly():
 
 def test_project_noise_zero_mean(rng):
     xi = rng.normal(size=(5, 8, 2))
-    out = project_noise(xi)
+    out = project(xi)
     np.testing.assert_allclose(out.mean(axis=-2), 0.0, atol=1e-15)
 
 

@@ -15,6 +15,7 @@ from gmsim.experiments import (
     coupled_batch,
     decay_experiment,
     exp_phase_rate,
+    exp_square_moment_experiment,
     fit_exp_rate,
     fit_linear_trend,
     fit_loglog_slope,
@@ -237,6 +238,49 @@ def test_uniform_moment_quadratic_accepts_zero_trend():
     assert info["accepted"]
     assert info["window_from"] == 5.0
     assert len(series.values) == 21
+
+
+# ---------------------------------------------------------------------------
+# exponential square moment
+
+def ou_config(**overrides):
+    sections = dict(
+        potential_V={"kind": "quadratic", "kappa": 1.0, "lambda": 2.0, "C": 0.0},
+        potential_W={"kind": "zero", "p": None, "m": None, "A": None, "alpha": None},
+        dynamics={"n": 64, "mode": "raw", "scheme": "euler", "dt": 0.005},
+        initial_law={"kind": "two_point", "point_a": 0.5, "point_b": 0.5},
+        experiment={"horizon": 1.0, "obs_times": "0.25,1.0", "runs": 16, "seed": 5},
+    )
+    for name, sec in overrides.items():
+        sections[name] = {**sections[name], **sec}
+    return make_config(**sections)
+
+
+def test_exp_square_moment_experiment_matches_closed_form_at_kappa_one():
+    # V = |x|^2: X_t - Y_t is N(0, 1 - e^{-4t}) per coordinate from any point mass
+    delta = 0.1
+    series, info = exp_square_moment_experiment(ou_config(), delta=delta)
+    assert series.delta == delta
+    for t, est, se, closed in zip(series.times, series.values, series.stderr,
+                                  info["closed_form"]):
+        expect = (1.0 - 2.0 * delta * (1.0 - math.exp(-4.0 * t))) ** -0.5
+        assert closed == pytest.approx(expect, rel=1e-12)
+        assert abs(est - expect) <= 4.0 * se
+    assert info["bound"] > max(series.values)
+
+
+def test_exp_square_moment_experiment_rejects_configs_without_closed_form():
+    for overrides in (
+        {"initial_law": {"point_b": 1.0}},
+        {"initial_law": {"kind": "gaussian", "sigma": 1.0}},
+        {"potential_W": {"kind": "quadratic", "kappa": 1.0}},
+        {"potential_V": {"kind": "power_law", "p": 4.0, "kappa": None,
+                         "lambda": None}},
+    ):
+        with pytest.raises(ValueError, match="point-mass"):
+            exp_square_moment_experiment(ou_config(**overrides))
+    with pytest.raises(ValueError, match="lambda"):
+        exp_square_moment_experiment(ou_config(potential_V={"lambda": 0.2}))
 
 
 # ---------------------------------------------------------------------------

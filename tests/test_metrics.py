@@ -14,7 +14,6 @@ from gmsim.metrics import (
     exp_square_moment,
     exp_square_moment_bound,
     moment,
-    pairwise_moment,
     sliced_w2,
     wasserstein_1d,
 )
@@ -70,23 +69,6 @@ def test_moment_stationary_projected_quadratic():
     expect = 0.5 * (1.0 - 1.0 / n)
     est = np.mean(series.values)
     assert abs(est - expect) < 4 * np.max(series.stderr)
-
-
-def test_pairwise_moment_identical_particles():
-    assert pairwise_moment(np.ones((2, 6, 1)), 2).values == [0.0]
-
-
-def test_pairwise_moment_two_point_enumeration_oracle(rng):
-    n = 100
-    x = np.concatenate([np.ones((n // 2, 1)), -np.ones((n // 2, 1))])[None]
-    series = pairwise_moment(x, 2)
-    # oracle: direct enumeration over ordered pairs
-    acc = sum(
-        (x[0, i, 0] - x[0, j, 0]) ** 2
-        for i in range(n) for j in range(n) if i != j
-    ) / (n * (n - 1))
-    assert series.values[0] == pytest.approx(acc)
-    assert series.values[0] == pytest.approx(2.0 * n / (n - 1))
 
 
 def test_moment_series_length_validation():
