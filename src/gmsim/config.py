@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import difflib
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ _POTENTIAL_KEYS = {
     "kind", "p", "kappa", "amplitude", "radius", "slopes", "r_max",
     "m", "lambda", "C", "A", "alpha",
 }
+_POTENTIAL_NUMBERS = {"p", "kappa", "amplitude", "radius", "r_max"}
 _DYNAMICS_KEYS = {"n", "dim", "mode", "scheme", "dt", "adaptive_drift_cap", "dt_min"}
 _LAW_KEYS = {
     "kind", "mean", "sigma", "half_width", "point_a", "point_b", "weight",
@@ -126,15 +128,47 @@ def _parse_tree(text: str, errors: list) -> dict:
     return tree
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number(sec: dict, key: str, default, errors: list, where: str, cast=float):
+    """sec[key] (or default when absent) cast to a number; a value that is
+    not one adds an error naming section and key and yields default."""
+    raw = sec.get(key, default)
+    if _is_number(raw):
+        return cast(raw)
+    errors.append(f"[{where}] {key} must be a number, got {_fmt(raw)!r}")
+    return default
+
+
+def _numbers(sec: dict, key: str, default, errors: list, where: str):
+    """sec[key] (or default when absent) as a tuple of floats, a scalar
+    being a list of one; as _number for an entry that is not a number."""
+    raw = sec.get(key, default)
+    vals = raw if isinstance(raw, tuple) else (raw,)
+    if all(_is_number(v) for v in vals):
+        return tuple(float(v) for v in vals)
+    errors.append(f"[{where}] {key} must be a list of numbers, got {_fmt(raw)!r}")
+    return default
+
+
 def _build_potential(sec: dict, errors: list, where: str):
     kind = sec.get("kind", "zero")
+    reported = len(errors)
     declared = {
-        "growth_exponent_m": int(sec.get("m", 1)),
-        "declared_lambda": float(sec.get("lambda", 0.0)),
-        "declared_C": float(sec.get("C", 0.0)),
-        "declared_A": float(sec.get("A", 0.0)),
-        "declared_alpha": float(sec.get("alpha", 0.0)),
+        "growth_exponent_m": _number(sec, "m", 1, errors, where, int),
+        "declared_lambda": _number(sec, "lambda", 0.0, errors, where),
+        "declared_C": _number(sec, "C", 0.0, errors, where),
+        "declared_A": _number(sec, "A", 0.0, errors, where),
+        "declared_alpha": _number(sec, "alpha", 0.0, errors, where),
     }
+    params = {k: _number(sec, k, None, errors, where) for k in _POTENTIAL_NUMBERS & sec.keys()}
+    if "slopes" in sec:
+        params["slopes"] = _numbers(sec, "slopes", None, errors, where)
+    if len(errors) > reported:
+        return potentials.zero()
+    sec = {**sec, **params}
     try:
         if kind == "zero":
             return potentials.zero()
@@ -147,10 +181,7 @@ def _build_potential(sec: dict, errors: list, where: str):
                 sec["kappa"], sec["amplitude"], sec["radius"], **declared
             )
         if kind == "sampled":
-            slopes = sec["slopes"]
-            if not isinstance(slopes, tuple):
-                slopes = (slopes,)
-            return potentials.sampled(slopes, sec["r_max"], **declared)
+            return potentials.sampled(sec["slopes"], sec["r_max"], **declared)
         errors.append(f"[{where}] unknown potential kind {kind!r}")
     except KeyError as exc:
         errors.append(f"[{where}] kind {kind!r} missing parameter {exc.args[0]!r}")
@@ -160,24 +191,45 @@ def _build_potential(sec: dict, errors: list, where: str):
 
 
 def _build_law(sec: dict, errors: list, where: str) -> InitialLaw:
-    def vec(v):
-        return tuple(float(x) for x in (v if isinstance(v, tuple) else (v,)))
+    return InitialLaw(
+        kind=sec.get("kind", "gaussian"),
+        mean=_numbers(sec, "mean", (0.0,), errors, where),
+        sigma=_number(sec, "sigma", 1.0, errors, where),
+        half_width=_number(sec, "half_width", 1.0, errors, where),
+        point_a=_numbers(sec, "point_a", (0.0,), errors, where),
+        point_b=_numbers(sec, "point_b", (1.0,), errors, where),
+        weight=_number(sec, "weight", 0.5, errors, where),
+        path=str(sec.get("path", "")),
+        center_to_zero=bool(sec.get("center_to_zero", False)),
+    )
 
-    try:
-        return InitialLaw(
-            kind=sec.get("kind", "gaussian"),
-            mean=vec(sec.get("mean", 0.0)),
-            sigma=float(sec.get("sigma", 1.0)),
-            half_width=float(sec.get("half_width", 1.0)),
-            point_a=vec(sec.get("point_a", 0.0)),
-            point_b=vec(sec.get("point_b", 1.0)),
-            weight=float(sec.get("weight", 0.5)),
-            path=str(sec.get("path", "")),
-            center_to_zero=bool(sec.get("center_to_zero", False)),
+
+def _observation_times(exp: dict, horizon: float, dt: float, errors: list):
+    """The observation times, from obs_times or from obs_stride and
+    obs_count; None, with the error reported, when they cannot be formed."""
+    if "obs_times" in exp:
+        return _numbers(exp, "obs_times", None, errors, "experiment")
+    stride = _number(exp, "obs_stride", max(horizon / 20.0, dt), errors, "experiment")
+    if stride <= 0:
+        errors.append("[experiment] obs_stride must be > 0")
+        return None
+    count = _number(exp, "obs_count", int(round(horizon / stride)) + 1, errors, "experiment", int)
+    return tuple(float(t) for t in np.round(np.arange(count) * stride, 12))
+
+
+def _check_on_grid(times, dt: float, errors: list):
+    """Reject times off the step grid by more than the slack of
+    dynamics.observation_steps, which would report the state of an earlier
+    step under the requested time."""
+    off = [t for t in times if abs(t / dt - round(t / dt)) > 1e-9]
+    if off:
+        k = off[0] / dt
+        more = f"; {len(off) - 1} more times are off the grid" if len(off) > 1 else ""
+        errors.append(
+            f"[experiment] observation time {off[0]!r} is off the dt = {dt!r} step grid; "
+            f"its neighbouring grid times are {round(math.floor(k) * dt, 12)!r} and "
+            f"{round(math.ceil(k) * dt, 12)!r}{more}"
         )
-    except (TypeError, ValueError) as exc:
-        errors.append(f"[{where}] {exc}")
-        return InitialLaw()
 
 
 def parse_config(text: str) -> SimConfig:
@@ -190,8 +242,8 @@ def parse_config(text: str) -> SimConfig:
     pw = _build_potential(tree.get("potential_W", {"kind": "zero"}), errors, "potential_W")
 
     dyn = tree.get("dynamics", {})
-    n = int(dyn.get("n", 16))
-    dim = int(dyn.get("dim", 1))
+    n = _number(dyn, "n", 16, errors, "dynamics", int)
+    dim = _number(dyn, "dim", 1, errors, "dynamics", int)
     mode = str(dyn.get("mode", "projected"))
     if n < 2:
         errors.append("[dynamics] n must be >= 2")
@@ -204,38 +256,38 @@ def parse_config(text: str) -> SimConfig:
             "[dynamics] mode=projected requires potential_V kind zero "
             "(the projected system is defined only for a vanishing confinement)"
         )
+    reported = len(errors)
+    policy = StepPolicy()
     try:
         policy = StepPolicy(
             scheme=str(dyn.get("scheme", "tamed")),
-            dt=float(dyn.get("dt", 0.01)),
-            adaptive_drift_cap=float(dyn.get("adaptive_drift_cap", 0.5)),
-            dt_min=float(dyn.get("dt_min", 1e-6)),
+            dt=_number(dyn, "dt", 0.01, errors, "dynamics"),
+            adaptive_drift_cap=_number(dyn, "adaptive_drift_cap", 0.5, errors, "dynamics"),
+            dt_min=_number(dyn, "dt_min", 1e-6, errors, "dynamics"),
         )
     except ValueError as exc:
         errors.append(f"[dynamics] {exc}")
-        policy = StepPolicy()
+    policy_ok = len(errors) == reported
 
     exp = tree.get("experiment", {})
-    horizon = float(exp.get("horizon", 1.0))
+    horizon = _number(exp, "horizon", 1.0, errors, "experiment")
+    horizon_ok = _is_number(exp.get("horizon", 1.0))  # else reported as not a number
     if horizon <= 0:
         errors.append("[experiment] horizon must be > 0")
-    if "obs_times" in exp:
-        raw_times = exp["obs_times"]
-        obs = tuple(float(t) for t in (raw_times if isinstance(raw_times, tuple) else (raw_times,)))
-    else:
-        stride = float(exp.get("obs_stride", max(horizon / 20.0, policy.dt)))
-        count = int(exp.get("obs_count", int(round(horizon / stride)) + 1))
-        obs = tuple(float(t) for t in np.round(np.arange(count) * stride, 12))
-    if not obs:
-        errors.append("[experiment] at least one observation time is required")
-    if any(t < 0 or t > horizon + 1e-9 for t in obs):
-        errors.append("[experiment] observation times must lie in [0, horizon]")
-    if list(obs) != sorted(set(obs)):
-        errors.append("[experiment] observation times must be sorted and unique")
+    obs = _observation_times(exp, horizon, policy.dt, errors)
+    if obs is not None:
+        if not obs:
+            errors.append("[experiment] at least one observation time is required")
+        if any(t < 0 or (horizon_ok and t > horizon + 1e-9) for t in obs):
+            errors.append("[experiment] observation times must lie in [0, horizon]")
+        if list(obs) != sorted(set(obs)):
+            errors.append("[experiment] observation times must be sorted and unique")
+        if policy_ok:
+            _check_on_grid(obs, policy.dt, errors)
     if "seed" not in exp:
         errors.append("[experiment] seed is required (no wall-clock default)")
-    seed = int(exp.get("seed", 0))
-    runs = int(exp.get("runs", 1))
+    seed = _number(exp, "seed", 0, errors, "experiment", int)
+    runs = _number(exp, "runs", 1, errors, "experiment", int)
     if runs < 1:
         errors.append("[experiment] runs must be >= 1")
 

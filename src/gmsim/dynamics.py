@@ -101,9 +101,7 @@ def drift(positions: np.ndarray, V: Potential, W: Potential) -> np.ndarray:
     contributes grad W(0) = 0 for every built-in kind.
     """
     x = np.asarray(positions, dtype=float)
-    diff = x[..., :, None, :] - x[..., None, :, :]
-    g = W.grad(diff)
-    b = -g.mean(axis=-2)
+    b = -W.mean_grad(x, x)
     if not V.is_zero:
         b = b - V.grad(x)
     if not np.all(np.isfinite(b)):

@@ -311,13 +311,6 @@ class ChaosScanResult:
     proxy_bias_ratio: float
 
 
-def _mean_field_drift(x: np.ndarray, aux: np.ndarray, W) -> np.ndarray:
-    """Drift of the nonlinear proxy: -(1/M) sum_k grad W(x - z_k), with the
-    convolution against u_t replaced by the auxiliary empirical measure."""
-    g = W.grad(x[:, :, None, :] - aux[:, None, :, :])
-    return -g.mean(axis=2)
-
-
 def _simulate_aux_trajectory(config, source, streams, m_aux, n_steps):
     """Projected M-particle system per run; returns (n_steps+1, runs, M, d)
     holding the state at the start of every step."""
@@ -344,7 +337,8 @@ def _chaos_errors_for_N(config, source, chunk, n, aux_traj, obs, policy):
         y, xbar = state
         xi = batch_noise(source, streams, k, n, config.dim)
         by = drift(y, config.potential_V, config.potential_W)
-        bx = _mean_field_drift(xbar, aux_traj[k], config.potential_W)
+        # the convolution of grad W with u_t, read off the auxiliary ensemble
+        bx = -config.potential_W.mean_grad(xbar, aux_traj[k])
         return (apply_scheme(y, by, xi, policy.dt, policy.scheme, projected=True),
                 apply_scheme(xbar, bx, xi[:, :1, :], policy.dt, policy.scheme))
 

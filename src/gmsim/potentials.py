@@ -82,6 +82,40 @@ class Potential:
             return self._grad_sampled(x)
         raise AssertionError(self.kind)
 
+    def mean_grad(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """(1/M) sum_j grad W(x_i - y_j) for x (..., N, d) and y (..., M, d).
+
+        For the quadratic kind and power_law p in {2, 4} the sum expands
+        exactly in the moments of y about its mean ybar, in O((N + M) d^2):
+        with u = x - ybar, v = y - ybar and S = E[v v^T], p = 4 gives
+        4 (|u|^2 u + 2 S u + tr(S) u - E[|v|^2 v]) and the quadratic kind
+        2 kappa u.  Every other kind sums all N x M pair gradients.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        p = self.params.get("p")
+        if self.kind != QUADRATIC and not (self.kind == POWER_LAW and p in (2.0, 4.0)):
+            return self.grad(x[..., :, None, :] - y[..., None, :, :]).mean(axis=-2)
+        # ybar = y_0 + mean(y - y_0) is never formed: u and v are taken
+        # from differences to the sample point y_0, so their rounding
+        # scales with the spread of y, not with its offset, and they are
+        # exactly 0 when every point coincides (identical particles feel
+        # no drift).
+        m = y.shape[-2]
+        y0 = y[..., :1, :]
+        v = y - y0
+        shift = v.sum(axis=-2, keepdims=True) / m
+        u = (x - y0) - shift
+        if p != 4.0:  # quadratic, or power_law p = 2 with kappa = 1
+            return 2.0 * self.params.get("kappa", 1.0) * u
+        v = v - shift
+        vv = np.sum(v * v, axis=-1, keepdims=True)
+        S = np.swapaxes(v, -1, -2) @ v / m
+        trace = vv.sum(axis=-2, keepdims=True) / m
+        skew = (vv * v).sum(axis=-2, keepdims=True) / m
+        uu = np.sum(u * u, axis=-1, keepdims=True)
+        return 4.0 * ((uu + trace) * u + 2.0 * u @ S - skew)
+
     def _grad_sampled(self, x: np.ndarray) -> np.ndarray:
         # Radial derivative tabulated on a regular grid in r >= 0; symmetry
         # of W is enforced by construction (gradient is slope(r) * x / r,

@@ -16,6 +16,7 @@ from gmsim.config import (
     parse_config,
     validate_potentials,
 )
+from gmsim.dynamics import observation_steps
 
 from conftest import config_text, make_config
 
@@ -80,6 +81,42 @@ def test_observation_times_validated():
 def test_empty_observation_list_rejected():
     with pytest.raises(ConfigError, match="at least one observation time"):
         make_config(experiment={"obs_times": None, "obs_stride": 0.5, "obs_count": 0})
+
+
+def test_non_numeric_values_join_the_all_errors_report():
+    text = config_text(
+        potential_W={"p": "four"},
+        dynamics={"n": "abc", "dt": "0.1,0.2"},
+        experiment={"obs_times": "", "runs": 0},
+    )
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == [
+        "[potential_W] p must be a number, got 'four'",
+        "[dynamics] n must be a number, got 'abc'",
+        "[dynamics] dt must be a number, got '0.1,0.2'",
+        "[experiment] obs_times must be a list of numbers, got ''",
+        "[experiment] runs must be >= 1",
+    ]
+    # a horizon that is not a number does not also put the times out of range
+    with pytest.raises(ConfigError) as exc:
+        make_config(experiment={"horizon": "long", "obs_times": "0.0,2.0"})
+    assert exc.value.errors == ["[experiment] horizon must be a number, got 'long'"]
+
+
+def test_off_grid_observation_times_rejected():
+    with pytest.raises(ConfigError) as exc:
+        make_config(dynamics={"dt": 0.1}, experiment={"obs_times": "0.0,0.215,0.25"})
+    assert exc.value.errors == [
+        "[experiment] observation time 0.215 is off the dt = 0.1 step grid; its neighbouring "
+        "grid times are 0.2 and 0.3; 1 more times are off the grid"
+    ]
+    with pytest.raises(ConfigError, match="0.25 is off the dt = 0.1 step grid"):
+        make_config(dynamics={"dt": 0.1},
+                    experiment={"obs_times": None, "obs_stride": 0.25, "obs_count": 3})
+    # 0.3 / 0.1 is 2.9999999999999996, inside the slack of observation_steps
+    cfg = make_config(dynamics={"dt": 0.1}, experiment={"obs_times": "0.0,0.3"})
+    assert observation_steps(cfg.observation_times, 0.1) == [0, 3]
 
 
 def test_obs_stride_generates_grid():

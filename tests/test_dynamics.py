@@ -27,15 +27,17 @@ from gmsim.rng import BrownianSource
 from conftest import make_config
 
 
-def naive_drift(x, V, W):
-    """Oracle: direct double loop over particles."""
+def naive_drift(x, V, W, y=None):
+    """Oracle: direct double loop over particles, the interaction averaged
+    over the M points of y (by default the particles themselves)."""
+    y = x if y is None else y
     n, d = x.shape
     out = np.zeros_like(x)
     for i in range(n):
         acc = np.zeros(d)
-        for j in range(n):
-            acc += W.grad(x[i] - x[j])
-        out[i] = -acc / n
+        for j in range(y.shape[0]):
+            acc += W.grad(x[i] - y[j])
+        out[i] = -acc / y.shape[0]
         if not V.is_zero:
             out[i] -= V.grad(x[i])
     return out
@@ -79,6 +81,49 @@ def test_drift_permutation_equivariance(rng):
     b = drift(x, quadratic(0.3), power_law(4.0))
     b_perm = drift(x[perm], quadratic(0.3), power_law(4.0))
     np.testing.assert_allclose(b_perm, b[perm], atol=1e-12)
+
+
+MOMENT_KINDS = (quadratic(0.7), power_law(2.0), power_law(4.0))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(range(len(MOMENT_KINDS))),
+    d=st.integers(1, 3),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    n=st.integers(1, 6),
+    m=st.integers(1, 9),
+    offset=st.floats(-1e3, 1e3),
+    spread=st.floats(1e-3, 10.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_mean_grad_moment_path_matches_double_loop(seed, kind, d, batch, n, m, offset, spread):
+    # Clouds far from the origin check that the expansion is centred
+    # before it is taken: raw moments would cancel catastrophically.
+    W = MOMENT_KINDS[kind]
+    gen = np.random.default_rng(seed)
+    x = offset + spread * gen.normal(size=(*batch, n, d))
+    y = offset + spread * gen.normal(size=(*batch, m, d))
+    want = np.empty_like(x)
+    largest = 0.0
+    for idx in np.ndindex(*batch):
+        want[idx] = -naive_drift(x[idx], zero(), W, y[idx])
+        for xi in x[idx]:
+            for yj in y[idx]:
+                largest = max(largest, float(np.max(np.abs(W.grad(xi - yj)))))
+    np.testing.assert_allclose(W.mean_grad(x, y), want, rtol=0, atol=1e-12 * largest)
+
+
+def test_mean_grad_quartic_against_two_points_closed_form():
+    # The chaos proxy's call: one point per run against an auxiliary
+    # ensemble, here the two points -a and a in d = 1.
+    a, b = 0.7, 1.3
+    aux = np.array([[[-a], [a]]])
+    W = power_law(4.0)
+    np.testing.assert_array_equal(W.mean_grad(np.zeros((1, 1, 1)), aux), np.zeros((1, 1, 1)))
+    np.testing.assert_allclose(
+        W.mean_grad(np.full((1, 1, 1), b), aux), [[[4.0 * (b**3 + 3.0 * a * a * b)]]], rtol=1e-14
+    )
 
 
 def test_drift_raises_on_nonfinite():

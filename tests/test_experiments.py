@@ -101,12 +101,13 @@ def test_simulate_batch_thread_invariance():
 
 
 def test_observations_snapping_to_one_step_are_all_filled():
-    # at dt = 0.1, 0.21 and 0.25 both snap to step 2, the step of t = 0.2
-    cfg = make_config(
+    # at dt = 0.1, 0.21 and 0.25 both snap to step 2, the step of t = 0.2;
+    # parse_config rejects such times, so they are set after loading
+    on_grid = make_config(
         dynamics={"n": 6, "dt": 0.1},
-        experiment={"horizon": 1.0, "obs_times": "0.0,0.21,0.25,1.0", "runs": 2},
+        experiment={"horizon": 1.0, "obs_times": "0.0,0.2,1.0", "runs": 2},
     )
-    on_grid = replace(cfg, observation_times=(0.0, 0.2, 1.0))
+    cfg = replace(on_grid, observation_times=(0.0, 0.21, 0.25, 1.0))
     _, pos = simulate_batch(cfg)
     _, pos_grid = simulate_batch(on_grid)
     np.testing.assert_array_equal(pos, pos_grid[[0, 1, 1, 2]])
@@ -215,7 +216,7 @@ def test_chaos_scan_small_run():
 def test_chaos_scan_thread_invariance():
     cfg = make_config(
         dynamics={"n": 8, "dt": 0.02},
-        experiment={"horizon": 0.5, "obs_times": "0.0,0.25,0.5", "runs": 8},
+        experiment={"horizon": 0.5, "obs_times": "0.0,0.24,0.5", "runs": 8},
     )
     a = chaos_scan(cfg, [4, 8], 64, 8, threads=1)
     b = chaos_scan(cfg, [4, 8], 64, 8, threads=4)
