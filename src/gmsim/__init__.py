@@ -21,13 +21,11 @@ from .dynamics import (
     StepPolicy,
     drift,
     IntegrationError,
-    StabilityError,
 )
 from .metrics import (
     moment,
     wasserstein_1d,
     assignment_exact,
-    sliced_w2,
     exp_square_moment,
     exp_square_moment_bound,
 )

@@ -117,11 +117,13 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _finish(cfg, experiment, result, flags, rows, header) -> int:
+def _finish(cfg, experiment, arguments, result, flags, rows, header) -> int:
     """Write an experiment's summary JSON and CSV series, print the JSON
-    path, and exit 0 exactly when every flag passes."""
-    json_path, _ = experiments.write_experiment_outputs(cfg, experiment, result, flags,
-                                                        rows, header)
+    path, and exit 0 exactly when every flag passes.  arguments holds the
+    subcommand's options that change the result; they are hashed with the
+    config."""
+    json_path, _ = experiments.write_experiment_outputs(cfg, experiment, arguments, result,
+                                                        flags, rows, header)
     print(json_path)
     return EXIT_OK if all(flags.values()) else EXIT_BOUND
 
@@ -139,12 +141,15 @@ def _cmd_decay(args) -> int:
         (float(t), float(v), float(s), "coupled-upper", 2)
         for t, v, s in zip(res.times, res.xi, res.xi_stderr)
     ]
-    return _finish(cfg, "decay", res, flags, rows, ("time", "value", "stderr", "method", "p"))
+    return _finish(cfg, "decay", {"coupling": args.coupling}, res, flags, rows,
+                   ("time", "value", "stderr", "method", "p"))
 
 
 def _cmd_chaos_scan(args) -> int:
     cfg = _load_config(args)
     n_values = [int(v) for v in args.n_values.split(",")]
+    arguments = {"n_values": n_values, "m_reference": args.m_reference,
+                 "runs_per_n": args.runs_per_n}
     res = experiments.chaos_scan(
         cfg, n_values, args.m_reference, args.runs_per_n, threads=args.threads
     )
@@ -159,11 +164,13 @@ def _cmd_chaos_scan(args) -> int:
         (n, e, s, "chaos-scan", 2)
         for n, e, s in zip(res.N_values, res.errors, res.stderrs)
     ]
-    return _finish(cfg, "chaos-scan", vars(res), flags, rows, ("N", "value", "stderr", "method", "p"))
+    return _finish(cfg, "chaos-scan", arguments, vars(res), flags, rows,
+                   ("N", "value", "stderr", "method", "p"))
 
 
 def _cmd_concentration(args) -> int:
     cfg = _load_config(args)
+    arguments = {"function": args.function, "trials": args.trials, "time": args.time}
     res = experiments.concentration_suite(
         cfg, f_name=args.function, T=args.time, trials=args.trials, threads=args.threads
     )
@@ -173,7 +180,8 @@ def _cmd_concentration(args) -> int:
         (float(r), float(t), "", "tail", "")
         for r, t in zip(res.r_grid, res.empirical_tail)
     ]
-    return _finish(cfg, "concentration", vars(res), flags, rows, ("r", "value", "stderr", "method", "p"))
+    return _finish(cfg, "concentration", arguments, vars(res), flags, rows,
+                   ("r", "value", "stderr", "method", "p"))
 
 
 def _cmd_uniform_moments(args) -> int:
@@ -183,7 +191,7 @@ def _cmd_uniform_moments(args) -> int:
         (float(t), v, s, "moment", series.order_2k)
         for t, v, s in zip(series.times, series.values, series.stderr)
     ]
-    return _finish(cfg, "uniform-moments", {**vars(series), **info},
+    return _finish(cfg, "uniform-moments", {}, {**vars(series), **info},
                    {"zero_trend": info["accepted"]}, rows, ("time", "value", "stderr", "method", "p"))
 
 
@@ -199,7 +207,7 @@ def _cmd_exp_square_moment(args) -> int:
         (float(t), v, s, float(c), info["bound"])
         for t, v, s, c in zip(series.times, series.values, series.stderr, closed)
     ]
-    return _finish(cfg, "exp-square-moment", {**vars(series), **info}, flags, rows,
+    return _finish(cfg, "exp-square-moment", {}, {**vars(series), **info}, flags, rows,
                    ("time", "value", "stderr", "closed_form", "bound"))
 
 

@@ -7,24 +7,22 @@ from __future__ import annotations
 
 import difflib
 import hashlib
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import potentials
-from .dynamics import InitialLaw, StepPolicy
+from .dynamics import LAW_KINDS, InitialLaw, StepPolicy
 
 _POTENTIAL_KEYS = {
     "kind", "p", "kappa", "amplitude", "radius", "slopes", "r_max",
     "m", "lambda", "C", "A", "alpha",
 }
 _POTENTIAL_NUMBERS = {"p", "kappa", "amplitude", "radius", "r_max"}
-_DYNAMICS_KEYS = {"n", "dim", "mode", "scheme", "dt", "adaptive_drift_cap", "dt_min"}
-_LAW_KEYS = {
-    "kind", "mean", "sigma", "half_width", "point_a", "point_b", "weight",
-    "path", "center_to_zero",
-}
+_DYNAMICS_KEYS = {"n", "dim", "mode", "scheme", "dt"}
+_LAW_KEYS = {"kind", "mean", "sigma", "half_width", "point_a", "point_b", "weight"}
 _EXPERIMENT_KEYS = {"horizon", "obs_stride", "obs_count", "obs_times", "seed", "runs"}
 _OUTPUT_KEYS = {"dir", "formats"}
 _SECTIONS = {
@@ -100,8 +98,7 @@ def _parse_tree(text: str, errors: list) -> dict:
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
             if section not in _SECTIONS:
-                near = difflib.get_close_matches(section, _SECTIONS, n=1)
-                hint = f" (did you mean [{near[0]}]?)" if near else ""
+                hint = _did_you_mean(section, _SECTIONS, "[{}]")
                 errors.append(f"line {lineno}: unknown section [{section}]{hint}")
                 section = None
             else:
@@ -117,8 +114,7 @@ def _parse_tree(text: str, errors: list) -> dict:
         key = key.strip()
         valid = _SECTIONS[section]
         if key not in valid:
-            near = difflib.get_close_matches(key, valid, n=1)
-            hint = f" (did you mean {near[0]!r}?)" if near else ""
+            hint = _did_you_mean(key, valid)
             errors.append(f"line {lineno}: unknown key {key!r} in [{section}]{hint}")
             continue
         if "," in raw:
@@ -126,6 +122,11 @@ def _parse_tree(text: str, errors: list) -> dict:
         else:
             tree[section][key] = _parse_scalar(raw)
     return tree
+
+
+def _did_you_mean(word: str, valid, form: str = "{!r}") -> str:
+    near = difflib.get_close_matches(word, valid, n=1)
+    return f" (did you mean {form.format(near[0])}?)" if near else ""
 
 
 def _is_number(v) -> bool:
@@ -191,16 +192,18 @@ def _build_potential(sec: dict, errors: list, where: str):
 
 
 def _build_law(sec: dict, errors: list, where: str) -> InitialLaw:
+    kind = str(sec.get("kind", "gaussian"))
+    if kind not in LAW_KINDS:
+        hint = _did_you_mean(kind, LAW_KINDS)
+        errors.append(f"[{where}] unknown initial law kind {kind!r}{hint}")
     return InitialLaw(
-        kind=sec.get("kind", "gaussian"),
+        kind=kind,
         mean=_numbers(sec, "mean", (0.0,), errors, where),
         sigma=_number(sec, "sigma", 1.0, errors, where),
         half_width=_number(sec, "half_width", 1.0, errors, where),
         point_a=_numbers(sec, "point_a", (0.0,), errors, where),
         point_b=_numbers(sec, "point_b", (1.0,), errors, where),
         weight=_number(sec, "weight", 0.5, errors, where),
-        path=str(sec.get("path", "")),
-        center_to_zero=bool(sec.get("center_to_zero", False)),
     )
 
 
@@ -262,8 +265,6 @@ def parse_config(text: str) -> SimConfig:
         policy = StepPolicy(
             scheme=str(dyn.get("scheme", "tamed")),
             dt=_number(dyn, "dt", 0.01, errors, "dynamics"),
-            adaptive_drift_cap=_number(dyn, "adaptive_drift_cap", 0.5, errors, "dynamics"),
-            dt_min=_number(dyn, "dt_min", 1e-6, errors, "dynamics"),
         )
     except ValueError as exc:
         errors.append(f"[dynamics] {exc}")
@@ -358,55 +359,59 @@ def _law_items(law: InitialLaw):
         items += [("half_width", law.half_width)]
     elif law.kind == "two_point":
         items += [("point_a", law.point_a), ("point_b", law.point_b), ("weight", law.weight)]
-    elif law.kind == "sample_file":
-        items += [("path", law.path)]
-    items.append(("center_to_zero", law.center_to_zero))
     return items
 
 
-def canonical_text(cfg: SimConfig) -> str:
-    """Byte-stable serialization: fixed section and key order, repr floats.
-    parse_config(canonical_text(cfg)) reproduces cfg."""
-    lines = []
-
-    def section(name, items):
-        lines.append(f"[{name}]")
-        for k, v in items:
-            lines.append(f"{k} = {_fmt(v)}")
-        lines.append("")
-
-    section("potential_V", _potential_items(cfg.potential_V))
-    section("potential_W", _potential_items(cfg.potential_W))
-    section(
-        "dynamics",
-        [
+def _result_sections(cfg: SimConfig) -> list:
+    """(section, items) for every section that determines a result: all
+    but [output]."""
+    sections = [
+        ("potential_V", _potential_items(cfg.potential_V)),
+        ("potential_W", _potential_items(cfg.potential_W)),
+        ("dynamics", [
             ("n", cfg.n),
             ("dim", cfg.dim),
             ("mode", cfg.mode),
             ("scheme", cfg.step_policy.scheme),
             ("dt", cfg.step_policy.dt),
-            ("adaptive_drift_cap", cfg.step_policy.adaptive_drift_cap),
-            ("dt_min", cfg.step_policy.dt_min),
-        ],
-    )
-    section("initial_law", _law_items(cfg.initial_law))
+        ]),
+        ("initial_law", _law_items(cfg.initial_law)),
+    ]
     if cfg.initial_law_b is not None:
-        section("initial_law_b", _law_items(cfg.initial_law_b))
-    section(
-        "experiment",
-        [
-            ("horizon", cfg.horizon),
-            ("obs_times", cfg.observation_times),
-            ("seed", cfg.seed),
-            ("runs", cfg.runs),
-        ],
-    )
-    section("output", [("dir", cfg.output_dir), ("formats", cfg.output_formats)])
+        sections.append(("initial_law_b", _law_items(cfg.initial_law_b)))
+    sections.append(("experiment", [
+        ("horizon", cfg.horizon),
+        ("obs_times", cfg.observation_times),
+        ("seed", cfg.seed),
+        ("runs", cfg.runs),
+    ]))
+    return sections
+
+
+def _render(sections) -> str:
+    lines = []
+    for name, items in sections:
+        lines.append(f"[{name}]")
+        lines += [f"{k} = {_fmt(v)}" for k, v in items]
+        lines.append("")
     return "\n".join(lines)
 
 
-def config_hash(cfg: SimConfig) -> str:
-    return hashlib.sha256(canonical_text(cfg).encode()).hexdigest()[:12]
+def canonical_text(cfg: SimConfig) -> str:
+    """Byte-stable serialization: fixed section and key order, repr floats.
+    parse_config(canonical_text(cfg)) reproduces cfg."""
+    output = ("output", [("dir", cfg.output_dir), ("formats", cfg.output_formats)])
+    return _render(_result_sections(cfg) + [output])
+
+
+def config_hash(cfg: SimConfig, arguments: dict | None = None) -> str:
+    """Hash of exactly what determines a result: the canonical config
+    without its [output] section, plus the experiment's arguments (JSON
+    with sorted keys; none and an empty dict hash alike)."""
+    text = _render(_result_sections(cfg))
+    if arguments:
+        text += json.dumps(arguments, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def validate_potentials(cfg: SimConfig, probes: int = 256, extent: float = 4.0):

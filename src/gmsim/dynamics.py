@@ -4,10 +4,10 @@ drift taming, the zero-mean projected system, and synchronous couplings.
 Positions always carry a leading run axis, (runs, N, d); a single run is a
 batch of one.  Independent Monte Carlo runs advance in lockstep: each step
 draws its noise once with batch_noise, run r from its own counter-based
-stream (adaptive sub-steps read further into the same block), and every
-update goes through apply_scheme, which projects the noise and recentres
-the ensemble in projected mode and rejects non-finite states.  Results are
-therefore bit-identical whatever the batching or thread count.
+stream, and makes one update with apply_scheme, which projects the noise
+and recentres the ensemble in projected mode and rejects non-finite
+states.  Results are therefore bit-identical whatever the batching or
+thread count.
 """
 
 from __future__ import annotations
@@ -22,40 +22,32 @@ from .rng import INIT_STEP, BrownianSource
 
 EULER = "euler"
 TAMED = "tamed"
-ADAPTIVE = "adaptive"
+LAW_KINDS = ("gaussian", "uniform", "two_point")
 
 
 class IntegrationError(RuntimeError):
     """Non-finite state or gradient encountered while stepping."""
 
 
-class StabilityError(IntegrationError):
-    """Adaptive stepper hit dt_min without satisfying the drift cap."""
-
-
 @dataclass(frozen=True)
 class StepPolicy:
     scheme: str = TAMED
     dt: float = 0.01
-    adaptive_drift_cap: float = 0.5
-    dt_min: float = 1e-6
 
     def __post_init__(self):
-        if self.scheme not in (EULER, TAMED, ADAPTIVE):
+        if self.scheme not in (EULER, TAMED):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.dt <= 0 or self.dt_min <= 0 or self.adaptive_drift_cap <= 0:
-            raise ValueError("dt, dt_min and adaptive_drift_cap must be > 0")
+        if self.dt <= 0:
+            raise ValueError("dt must be > 0")
 
 
 @dataclass(frozen=True)
 class InitialLaw:
     """Initial distribution for the particle positions.
 
-    kinds: gaussian (mean, sigma), uniform (half_width), two_point
-    (point_a, point_b, weight), sample_file (path to a whitespace table of
-    N x d floats).  center_to_zero shifts the drawn ensemble so its mean
-    is exactly 0, matching the zero-center-of-mass normalization used when
-    the confinement potential vanishes.
+    kinds (LAW_KINDS): gaussian (mean, sigma), uniform (half_width),
+    two_point (point_a, point_b, weight).  Projected runs recentre the draw
+    through initial_batch.
     """
 
     kind: str = "gaussian"
@@ -65,8 +57,6 @@ class InitialLaw:
     point_a: tuple = (0.0,)
     point_b: tuple = (1.0,)
     weight: float = 0.5
-    path: str = ""
-    center_to_zero: bool = False
 
     def sample(self, source: BrownianSource, stream: int, n: int, dim: int) -> np.ndarray:
         if self.kind == "gaussian":
@@ -80,18 +70,9 @@ class InitialLaw:
             a = np.broadcast_to(np.asarray(self.point_a, float), (n, dim))
             b = np.broadcast_to(np.asarray(self.point_b, float), (n, dim))
             x = np.where(u < self.weight, a, b).astype(float)
-        elif self.kind == "sample_file":
-            x = np.loadtxt(self.path, ndmin=2)
-            if x.shape != (n, dim):
-                raise ValueError(
-                    f"sample file {self.path!r} has shape {x.shape}, expected {(n, dim)}"
-                )
         else:
             raise ValueError(f"unknown initial law kind {self.kind!r}")
-        x = np.array(x, dtype=float)
-        if self.center_to_zero:
-            x -= x.mean(axis=-2, keepdims=True)
-        return x
+        return np.array(x, dtype=float)
 
 
 def drift(positions: np.ndarray, V: Potential, W: Potential) -> np.ndarray:
@@ -111,14 +92,11 @@ def drift(positions: np.ndarray, V: Potential, W: Potential) -> np.ndarray:
 
 
 def noise_block(
-    source: BrownianSource, stream: int, step_index: int, n: int, dim: int, offset: int = 0
+    source: BrownianSource, stream: int, step_index: int, n: int, dim: int
 ) -> np.ndarray:
-    """Standard normal increments for one step of one run, shape (n, dim).
-
-    The block is a pure function of (seed, stream, step_index); offset
-    selects later draws inside the same block (adaptive sub-steps)."""
-    vals = source.normals(stream, step_index, offset + n * dim)
-    return vals[offset:].reshape(n, dim)
+    """Standard normal increments for one step of one run, shape (n, dim),
+    a pure function of (seed, stream, step_index)."""
+    return source.normals(stream, step_index, n * dim).reshape(n, dim)
 
 
 def project(x: np.ndarray) -> np.ndarray:
@@ -158,32 +136,6 @@ def apply_scheme(
         bad = np.argwhere(~np.isfinite(x_new))
         raise IntegrationError(f"non-finite position at entry {bad[0].tolist()}")
     return project(x_new) if projected else x_new
-
-
-def _adaptive_step(x, V, W, policy, source, stream, step_index, projected):
-    """One step of one run, (N, d), split into Euler sub-steps short enough
-    that dt_loc * max|b| stays under the drift cap."""
-    n, dim = x.shape[-2], x.shape[-1]
-    t_done = 0.0
-    offset = 0
-    while t_done < policy.dt * (1.0 - 1e-12):
-        b = drift(x, V, W)
-        bmax = float(np.max(np.linalg.norm(b, axis=-1)))
-        dt_loc = policy.dt
-        while bmax * dt_loc > policy.adaptive_drift_cap and dt_loc / 2.0 >= policy.dt_min:
-            dt_loc /= 2.0
-        if bmax * dt_loc > policy.adaptive_drift_cap:
-            worst = int(np.argmax(np.linalg.norm(b, axis=-1).ravel()))
-            raise StabilityError(
-                f"adaptive step hit dt_min={policy.dt_min} with |b|={bmax:.3g} "
-                f"at particle {worst}"
-            )
-        dt_loc = min(dt_loc, policy.dt - t_done)
-        xi = noise_block(source, stream, step_index, n, dim, offset=offset)
-        offset += n * dim
-        x = apply_scheme(x, b, xi, dt_loc, EULER, projected)
-        t_done += dt_loc
-    return x
 
 
 def observation_steps(obs_times, dt: float) -> list[int]:
@@ -228,11 +180,6 @@ def step_batch(
     """Advance independent runs, positions (runs, N, d), from step
     step_index to step_index + 1; run r draws from streams[r].  A single
     run is runs = 1, and row r never depends on the other rows."""
-    if policy.scheme == ADAPTIVE:
-        return np.stack([
-            _adaptive_step(x[r], V, W, policy, source, s, step_index, projected)
-            for r, s in enumerate(streams)
-        ])
     xi = batch_noise(source, streams, step_index, x.shape[-2], x.shape[-1])
     return apply_scheme(x, drift(x, V, W), xi, policy.dt, policy.scheme, projected)
 
@@ -250,10 +197,6 @@ def coupled_step_batch(
 ):
     """Advance two batches of ensembles (runs, N, d) with identical
     Brownian increments per run; the difference process sees no noise."""
-    if policy.scheme == ADAPTIVE:
-        # Sub-step counts would differ between the copies and break the
-        # shared-increment contract.
-        raise ValueError("synchronous coupling supports the euler and tamed schemes only")
     xi = batch_noise(source, streams, step_index, xa.shape[-2], xa.shape[-1])
     xa = apply_scheme(xa, drift(xa, V, W), xi, policy.dt, policy.scheme, projected)
     xb = apply_scheme(xb, drift(xb, V, W), xi, policy.dt, policy.scheme, projected)

@@ -1,9 +1,8 @@
 """Empirical observables and Wasserstein distance estimators.
 
 Moments are plain Monte Carlo averages with run-to-run standard errors.
-For distances we keep a small-instance exact route (1-d quantile coupling
-and optimal assignment) next to the scalable sliced surrogate, which is a
-lower bound in d >= 2 and labeled as such.
+Distances are exact between equal-size empirical measures: the 1-d
+quantile coupling, and an optimal assignment for small samples.
 """
 
 from __future__ import annotations
@@ -30,12 +29,10 @@ class MomentSeries:
 
 @dataclass
 class DistanceEstimate:
-    method: str  # exact-1d | assignment-exact | sliced | coupled-upper
+    method: str  # exact-1d | assignment-exact
     p: int
     value: float
     samples_per_side: int
-    n_projections: int = 0
-    resampled: bool = False
 
 
 def _mc_mean(per_run: np.ndarray):
@@ -74,30 +71,18 @@ def _as_points(samples) -> np.ndarray:
     return a
 
 
-def _match_counts(a: np.ndarray, b: np.ndarray, seed: int = 0):
-    if a.shape[0] == b.shape[0]:
-        return a, b, False
-    m = max(a.shape[0], b.shape[0])
-    rng = np.random.default_rng(seed)
-    if a.shape[0] < m:
-        a = a[rng.integers(0, a.shape[0], m)]
-    if b.shape[0] < m:
-        b = b[rng.integers(0, b.shape[0], m)]
-    return a, b, True
-
-
 def wasserstein_1d(samples_a, samples_b, p: int = 2) -> DistanceEstimate:
-    """Quantile-coupling W_p for one-dimensional samples (exact for equal
-    sample counts; unequal counts are matched by resampling, recorded)."""
+    """Quantile-coupling W_p between equal-size one-dimensional samples."""
     a = _as_points(samples_a)
     b = _as_points(samples_b)
     if a.shape[1] != 1 or b.shape[1] != 1:
         raise ValueError("wasserstein_1d requires one-dimensional samples")
-    a, b, resampled = _match_counts(a, b)
+    if a.shape[0] != b.shape[0]:
+        raise ValueError("wasserstein_1d requires equal sample counts")
     av = np.sort(a[:, 0])
     bv = np.sort(b[:, 0])
     value = float(np.mean(np.abs(av - bv) ** p) ** (1.0 / p))
-    return DistanceEstimate("exact-1d", p, value, av.size, resampled=resampled)
+    return DistanceEstimate("exact-1d", p, value, av.size)
 
 
 def assignment_exact(samples_a, samples_b, p: int = 2) -> DistanceEstimate:
@@ -108,36 +93,11 @@ def assignment_exact(samples_a, samples_b, p: int = 2) -> DistanceEstimate:
     if a.shape[0] != b.shape[0]:
         raise ValueError("assignment_exact requires equal sample counts")
     if a.shape[0] > ASSIGNMENT_CAP:
-        raise ValueError(
-            f"assignment_exact capped at {ASSIGNMENT_CAP} samples; use sliced_w2"
-        )
+        raise ValueError(f"assignment_exact capped at {ASSIGNMENT_CAP} samples")
     cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1) ** p
     rows, cols = linear_sum_assignment(cost)
     value = float((cost[rows, cols].mean()) ** (1.0 / p))
     return DistanceEstimate("assignment-exact", p, value, a.shape[0])
-
-
-def sliced_w2(samples_a, samples_b, n_projections: int = 64, seed: int = 0) -> DistanceEstimate:
-    """Average of squared 1-d quantile distances over random directions.
-    Lower-bounds W_2 in d >= 2."""
-    a = _as_points(samples_a)
-    b = _as_points(samples_b)
-    d = a.shape[1]
-    if d < 2:
-        raise ValueError("sliced_w2 is for d >= 2; use wasserstein_1d")
-    a, b, resampled = _match_counts(a, b, seed)
-    rng = np.random.default_rng(seed)
-    acc = 0.0
-    for _ in range(n_projections):
-        theta = rng.normal(size=d)
-        theta /= np.linalg.norm(theta)
-        pa = np.sort(a @ theta)
-        pb = np.sort(b @ theta)
-        acc += float(np.mean((pa - pb) ** 2))
-    value = float(np.sqrt(acc / n_projections))
-    return DistanceEstimate(
-        "sliced", 2, value, a.shape[0], n_projections=n_projections, resampled=resampled
-    )
 
 
 @dataclass
@@ -155,7 +115,6 @@ def exp_square_moment(
     times=None,
     lambda_hat: float | None = None,
     diffusion_bound_A: float | None = None,
-    dominance_fraction: float = 0.5,
 ) -> ExpSquareMomentSeries:
     """MC estimate of E exp(delta |X_t - Y_t|^2) from squared distances of
     independent coupled copies, shape (n_times, runs).
@@ -163,7 +122,8 @@ def exp_square_moment(
     Refuses deltas outside the contraction regime delta < lambda / (2 A)
     when the fitted constants are supplied; the bound being estimated only
     holds there.  (This A is the Hilbert-Schmidt diffusion bound, not the
-    degenerate-convexity constant.)
+    degenerate-convexity constant.)  A time is flagged heavy-tailed when its
+    largest sample carries more than half of the sum.
     """
     if lambda_hat is not None and diffusion_bound_A is not None:
         if delta >= lambda_hat / (2.0 * diffusion_bound_A):
@@ -177,7 +137,7 @@ def exp_square_moment(
     w = np.exp(delta * z)
     vals = w.mean(axis=1)
     ses = w.std(axis=1, ddof=1) / np.sqrt(w.shape[1]) if w.shape[1] > 1 else np.zeros_like(vals)
-    flags = (w.max(axis=1) / np.maximum(w.sum(axis=1), 1e-300)) > dominance_fraction
+    flags = (w.max(axis=1) / np.maximum(w.sum(axis=1), 1e-300)) > 0.5
     if times is None:
         times = list(range(z.shape[0]))
     return ExpSquareMomentSeries(

@@ -260,7 +260,6 @@ def check_condition_C(
     extent: float = 4.0,
     eps_grid=(0.05, 0.1, 0.25, 0.5, 0.75, 0.95),
     probe_seed: int = 0,
-    tolerance: float | None = None,
 ) -> ConditionReport:
     """Probe (x-y).(grad W(x)-grad W(y)) >= A eps^alpha (|x-y|^2 - eps^2)."""
     if probes < 1:
@@ -275,15 +274,13 @@ def check_condition_C(
     # bound[e, pair] = A eps^alpha (|x-y|^2 - eps^2)
     bound = A * eps[:, None] ** alpha * (sq[None, :] - eps[:, None] ** 2)
     violation = bound - dot[None, :]
-    worst = float(np.max(violation))
-    tol = default_tolerance(float(np.max(np.abs(bound)))) if tolerance is None else tolerance
     return ConditionReport(
         condition_name="C_A_alpha",
         fitted_constants={"A": float(A), "alpha": float(alpha)},
-        worst_violation=worst,
+        worst_violation=float(np.max(violation)),
         probe_count=x.shape[0],
         probe_extent=float(extent),
-        tolerance=tol,
+        tolerance=default_tolerance(float(np.max(np.abs(bound)))),
     )
 
 
@@ -292,49 +289,40 @@ def check_convexity_at_infinity(
     probes: int = 1024,
     extent: float = 4.0,
     probe_seed: int = 0,
-    lambda_grid=None,
-    slack_fraction: float = 0.05,
-    tolerance: float | None = None,
 ) -> ConditionReport:
     """Fit (lambda, C) with (x-y).(grad W(x)-grad W(y)) >= lambda|x-y|^2 - C
     on the probe set.
 
-    For each candidate lambda, C(lambda) is the smallest admissible offset.
-    The reported lambda is the largest candidate whose offset stays below
-    slack_fraction * lambda * extent^2, which keeps the fit empirically
-    meaningful: the zero potential gets lambda = 0 rather than a huge C.
+    For each candidate lambda (0 and 121 log-spaced values in [1e-3, 1e3]),
+    C(lambda) is the smallest admissible offset.  The reported lambda is the
+    largest candidate whose offset stays below 0.05 lambda extent^2, which
+    keeps the fit empirically meaningful: the zero potential gets
+    lambda = 0 rather than a huge C.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
     x, y = _probe_pairs(_dim_of(potential), probes, extent, probe_seed)
     sq, dot = _pair_products(potential, x, y)
-    if lambda_grid is None:
-        lambda_grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 121)])
     best_lambda = 0.0
     best_C = max(0.0, float(np.max(-dot)))
-    for lam in lambda_grid:
-        if lam == 0.0:
-            continue
+    for lam in np.geomspace(1e-3, 1e3, 121):
         C_lam = max(0.0, float(np.max(lam * sq - dot)))
-        if C_lam <= slack_fraction * lam * extent**2:
-            if lam > best_lambda:
-                best_lambda = lam
-                best_C = C_lam
-    return _a4_report(sq, dot, best_lambda, best_C, extent, tolerance)
+        if C_lam <= 0.05 * lam * extent**2:
+            best_lambda = lam
+            best_C = C_lam
+    return _a4_report(sq, dot, best_lambda, best_C, extent)
 
 
-def _a4_report(sq, dot, lam, C, extent, tolerance=None) -> ConditionReport:
+def _a4_report(sq, dot, lam, C, extent) -> ConditionReport:
     """A4 report for (lambda, C) from the probe products of _pair_products."""
     bound = lam * sq - C
-    worst = float(np.max(bound - dot))
-    tol = default_tolerance(float(np.max(np.abs(bound)))) if tolerance is None else tolerance
     return ConditionReport(
         condition_name="A4_conv_at_infinity",
         fitted_constants={"lambda": float(lam), "C": float(C)},
-        worst_violation=worst,
+        worst_violation=float(np.max(bound - dot)),
         probe_count=sq.shape[0],
         probe_extent=float(extent),
-        tolerance=tol,
+        tolerance=default_tolerance(float(np.max(np.abs(bound)))),
     )
 
 
@@ -344,15 +332,13 @@ def check_polynomial_growth(
     probes: int = 1024,
     extent: float = 4.0,
     probe_seed: int = 0,
-    growth_margin: float = 1.25,
-    tolerance: float | None = None,
 ) -> ConditionReport:
     """Fit the smallest C with
     |grad W(x) - grad W(y)| <= C (|x-y| ^ 1)(1 + |x|^m + |y|^m).
 
     A declared m that is too small shows up as the fitted constant growing
     with the probe extent; we detect it by comparing the fit at full extent
-    with the fit restricted to the inner half box.
+    with 1.25 times the fit restricted to the inner half box.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -372,15 +358,13 @@ def check_polynomial_growth(
     )
     ratio_inner = num[inner] / den[inner]
     c_inner = float(np.max(ratio_inner)) if ratio_inner.size else c_full
-    worst = c_full - growth_margin * c_inner
-    tol = default_tolerance(c_full) if tolerance is None else tolerance
     return ConditionReport(
         condition_name="A3",
         fitted_constants={"C_hat": c_full, "C_hat_inner": c_inner, "m": float(m)},
-        worst_violation=worst,
+        worst_violation=c_full - 1.25 * c_inner,
         probe_count=x.shape[0],
         probe_extent=float(extent),
-        tolerance=tol,
+        tolerance=default_tolerance(c_full),
     )
 
 

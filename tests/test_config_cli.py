@@ -119,6 +119,28 @@ def test_off_grid_observation_times_rejected():
     assert observation_steps(cfg.observation_times, 0.1) == [0, 3]
 
 
+def test_removed_and_unknown_inputs_are_one_report_line_each():
+    text = config_text(
+        dynamics={"scheme": "adaptive", "dt_min": 1e-6, "adaptive_drift_cap": 0.5},
+        initial_law={"kind": "gausian", "center_to_zero": "true"},
+        initial_law_b={"kind": "sample_file"},
+    )
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    errors = exc.value.errors
+    expected = [
+        "unknown key 'dt_min' in [dynamics]",
+        "unknown key 'adaptive_drift_cap' in [dynamics]",
+        "unknown key 'center_to_zero' in [initial_law]",
+        "[dynamics] unknown scheme 'adaptive'",
+        "[initial_law] unknown initial law kind 'gausian' (did you mean 'gaussian'?)",
+        "[initial_law_b] unknown initial law kind 'sample_file'",
+    ]
+    assert len(errors) == len(expected)
+    for frag in expected:
+        assert sum(frag in e for e in errors) == 1, frag
+
+
 def test_obs_stride_generates_grid():
     cfg = make_config(experiment={"obs_times": None, "obs_stride": 0.25,
                                   "obs_count": 5, "horizon": 1.0})
@@ -144,6 +166,14 @@ def test_config_hash_stable_and_sensitive():
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
     assert len(config_hash(a)) == 12
+    # the output section does not change the result, so not the hash
+    d = make_config(output={"dir": "elsewhere", "formats": "csv,bin"})
+    assert canonical_text(d) != canonical_text(a)
+    assert config_hash(d) == config_hash(a)
+    # the experiment's arguments do; no arguments hash like none at all
+    assert config_hash(a, {}) == config_hash(a)
+    assert config_hash(a, {"n_values": [8, 16]}) != config_hash(a)
+    assert config_hash(a, {"n_values": [8, 16]}) != config_hash(a, {"n_values": [8, 32]})
 
 
 def test_validate_potentials_accepts_true_constants():
@@ -265,9 +295,10 @@ def test_cli_decay_quadratic(tmp_path, capsys):
     summary = json.loads(open(summary_path).read())
     rate = summary["result"]["exp_rate"]
     assert 3.6 <= rate <= 4.4
-    # config echo re-validates to the same hash
+    # config echo and arguments re-validate to the same hash
+    assert summary["arguments"] == {"coupling": "comonotone-1d"}
     echoed = parse_config(summary["config_echo"])
-    assert config_hash(echoed) == summary["config_hash"]
+    assert config_hash(echoed, summary["arguments"]) == summary["config_hash"]
 
 
 def test_cli_integration_error_is_one_line(tmp_path, capsys):
@@ -330,6 +361,71 @@ def test_cli_chaos_scan_proxy_bias_exits_bound(tmp_path, capsys, monkeypatch):
     summary = json.loads(open(capsys.readouterr().out.strip()).read())
     assert summary["flags"] == {"errors_decreasing": True, "slope_fast_enough": True,
                                 "proxy_bias_ok": False}
+
+
+def _small_chaos_cfg(tmp_path, out):
+    return write_cfg(
+        tmp_path,
+        dynamics={"n": 4, "dt": 0.05},
+        experiment={"horizon": 0.1, "obs_times": "0.0,0.1", "runs": 2},
+        output={"dir": str(out)},
+    )
+
+
+def test_cli_chaos_scans_with_different_n_values_keep_both_summaries(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = _small_chaos_cfg(tmp_path, out)
+    paths = []
+    for n_values in ("4,8", "4,16"):
+        code = run_cli(["chaos-scan", "--config", path, "--seed", "1", "--n-values", n_values,
+                        "--m-reference", "128", "--runs-per-n", "2"])
+        assert code in (EXIT_OK, EXIT_BOUND)
+        paths.append(capsys.readouterr().out.strip())
+    assert paths[0] != paths[1]
+    assert sorted(p.name for p in out.glob("chaos-scan-*.json")) == sorted(
+        os.path.basename(p) for p in paths)
+    args = [json.loads(open(p).read())["arguments"] for p in paths]
+    assert args == [{"n_values": [4, 8], "m_reference": 128, "runs_per_n": 2},
+                    {"n_values": [4, 16], "m_reference": 128, "runs_per_n": 2}]
+
+
+@pytest.mark.parametrize("argv", [["--n-values", "8", "--runs-per-n", "4"],
+                                  ["--n-values", "4,8", "--runs-per-n", "1"],
+                                  ["--n-values", "8,8", "--runs-per-n", "4"]])
+def test_cli_chaos_scan_without_a_verdict_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    path = _small_chaos_cfg(tmp_path, out)
+    code = run_cli(["chaos-scan", "--config", path, "--seed", "1", "--m-reference", "128",
+                    *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error: chaos_scan needs at least two distinct N values")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_concentration_fails_against_an_over_declared_lambda(tmp_path, capsys):
+    # lambda = 100 on the kappa = 0.5 quadratic gives c_pipeline ~ 0.48, while
+    # the raw-mode particle mean spreads like a Brownian motion: c ~ 2 (1 + 2T)
+    path = write_cfg(
+        tmp_path,
+        potential_W={"kind": "quadratic", "kappa": 0.5, "lambda": 100.0, "C": 0.0,
+                     "A": 1.0, "alpha": 0.0, "m": 1, "p": None},
+        dynamics={"n": 8, "mode": "raw", "scheme": "euler", "dt": 0.02},
+        experiment={"horizon": 1.0, "obs_times": "1.0", "runs": 1},
+        output={"dir": str(tmp_path / "out")},
+    )
+    assert run_cli(["concentration", "--config", path, "--seed", "4"]) == EXIT_USAGE
+    capsys.readouterr()
+    code = run_cli(["concentration", "--config", path, "--seed", "4", "--unchecked",
+                    "--trials", "200"])
+    summary = json.loads(open(capsys.readouterr().out.strip()).read())
+    assert code == EXIT_BOUND
+    assert summary["flags"] == {"bound_holds": False}
+    res = summary["result"]
+    assert res["c_pipeline"] < 1.0 < res["c_fitted"]
+    assert res["c_fitted_over_pipeline"] == pytest.approx(res["c_fitted"] / res["c_pipeline"])
+    assert summary["arguments"] == {"function": "coordinate", "trials": 200, "time": None}
 
 
 def test_cli_report_aggregates_flags(tmp_path, capsys):

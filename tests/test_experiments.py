@@ -344,12 +344,13 @@ def test_write_experiment_outputs_round_trip(tmp_path):
     cfg = make_config(output={"dir": str(tmp_path / "out")})
     res = uniform_convex_decay(quadratic_decay_config())
     jp, cp = write_experiment_outputs(
-        cfg, "decay", res, {"ok": True},
+        cfg, "decay", {"coupling": "independent"}, res, {"ok": True},
         [(0.0, 1.0, 0.1, "coupled-upper", 2)],
         ("time", "value", "stderr", "method", "p"),
     )
     summary = json.loads(open(jp).read())
     assert summary["flags"] == {"ok": True}
+    assert summary["arguments"] == {"coupling": "independent"}
     echoed = parse_config(summary["config_echo"])
-    assert config_hash(echoed) == summary["config_hash"]
+    assert config_hash(echoed, summary["arguments"]) == summary["config_hash"]
     assert open(cp).readline().strip() == "time,value,stderr,method,p"

@@ -14,7 +14,6 @@ from gmsim.metrics import (
     exp_square_moment,
     exp_square_moment_bound,
     moment,
-    sliced_w2,
     wasserstein_1d,
 )
 
@@ -97,10 +96,9 @@ def test_w1d_matches_assignment(rng):
         assert abs(wasserstein_1d(a, b).value - assignment_exact(a, b).value) < 1e-12
 
 
-def test_w1d_resampling_recorded(rng):
-    est = wasserstein_1d(rng.normal(size=5), rng.normal(size=9))
-    assert est.resampled
-    assert est.samples_per_side == 9
+def test_w1d_unequal_counts_rejected(rng):
+    with pytest.raises(ValueError, match="equal sample counts"):
+        wasserstein_1d(rng.normal(size=5), rng.normal(size=9))
 
 
 # ---------------------------------------------------------------------------
@@ -126,48 +124,13 @@ def test_assignment_matches_permutation_enumeration(rng):
 
 def test_assignment_cap():
     a = np.zeros((ASSIGNMENT_CAP + 1, 1))
-    with pytest.raises(ValueError, match="sliced"):
+    with pytest.raises(ValueError, match="capped"):
         assignment_exact(a, a)
 
 
 def test_assignment_unequal_counts_rejected():
     with pytest.raises(ValueError):
         assignment_exact(np.zeros((3, 1)), np.zeros((4, 1)))
-
-
-# ---------------------------------------------------------------------------
-# sliced
-
-def test_sliced_identical_zero(rng):
-    a = rng.normal(size=(16, 3))
-    assert sliced_w2(a, a).value == 0.0
-
-
-def test_sliced_translation_oracle(rng):
-    # translated copies: value^2 -> |v|^2 E[(theta . v_hat)^2] = |v|^2 / d
-    d = 3
-    v = np.array([2.0, 0.0, 0.0])
-    a = rng.normal(size=(400, d))
-    est = sliced_w2(a, a + v, n_projections=4000)
-    assert est.value**2 == pytest.approx(np.sum(v**2) / d, rel=0.1)
-
-
-def test_sliced_lower_bounds_assignment(rng):
-    for seed in range(20):
-        a = rng.normal(size=(16, 2))
-        b = rng.normal(size=(16, 2)) + rng.normal(size=2)
-        assert sliced_w2(a, b, seed=seed).value <= assignment_exact(a, b).value + 1e-9
-
-
-def test_sliced_rejects_1d():
-    with pytest.raises(ValueError):
-        sliced_w2(np.zeros((4, 1)), np.zeros((4, 1)))
-
-
-def test_sliced_deterministic_given_seed(rng):
-    a = rng.normal(size=(10, 2))
-    b = rng.normal(size=(10, 2))
-    assert sliced_w2(a, b, seed=3).value == sliced_w2(a, b, seed=3).value
 
 
 # ---------------------------------------------------------------------------
