@@ -29,7 +29,6 @@ from .dynamics import (
     initial_batch,
     observation_schedule,
     observation_steps,
-    project,
     step_batch,
 )
 from .metrics import exp_square_moment, exp_square_moment_bound, moment
@@ -302,6 +301,7 @@ class ChaosScanResult:
     N_values: list
     errors: list
     stderrs: list
+    worst_times: list
     fitted_slope: float
     predicted_slope: float
     K_fitted: float
@@ -311,40 +311,44 @@ class ChaosScanResult:
     proxy_bias_ratio: float
 
 
-def _simulate_aux_trajectory(config, source, streams, m_aux, n_steps):
-    """Projected M-particle system per run; returns (n_steps+1, runs, M, d)
-    holding the state at the start of every step."""
-    x = initial_batch(lambda s: config.initial_law.sample(source, s, m_aux, config.dim),
-                      streams, projected=True)
-    traj = np.empty((n_steps + 1, len(streams), m_aux, config.dim))
-    traj[0] = x
-    for k in range(n_steps):
-        x = step_batch(x, config.potential_V, config.potential_W, config.step_policy,
-                       source, streams, k, projected=True)
-        traj[k + 1] = x
-    return traj
-
-
-def _chaos_errors_for_N(config, source, chunk, n, aux_traj, obs, policy):
-    """Run errors |Y^1_t - Xbar^1_t|^2 at every observation for one system
-    size; the proxy Xbar^1 takes particle 0's unprojected increments."""
+def _chaos_walk(config, source, chunk, N_values, M_reference, obs):
+    """Run errors |Y^1_t - Xbar^1_t|^2, (len(N_values) + 1, n_obs, runs), of
+    each projected N-system's tagged particle against the proxy fed by the
+    auxiliary ensemble of M_reference particles, then of the largest
+    N-system's against the proxy fed by the half-size ensemble.  One walk
+    advances them all, so memory does not grow with the horizon.  A proxy
+    starts at row 0 of the run's unprojected initial draw and steps on
+    particle 0's unprojected increments, prefixes of the run's stream, so
+    one proxy per ensemble serves every N; its drift, the convolution of
+    grad W with u_t, reads its ensemble at the start of the step."""
+    V, W, policy, dim = config.potential_V, config.potential_W, config.step_policy, config.dim
     streams = [config.stream_for_run(r) for r in chunk]
-    x0 = initial_batch(lambda s: config.initial_law.sample(source, s, n, config.dim), streams)
-    y = project(x0)
-    xbar = x0[:, :1, :].copy()
+    aux_streams = [[config.stream_for_run(r, role) for r in chunk]
+                   for role in (config.AUX_STREAM, config.HALF_AUX_STREAM)]
+
+    def draw(n, ss, projected=True):
+        return initial_batch(lambda s: config.initial_law.sample(source, s, n, dim), ss,
+                             projected)
 
     def advance(state, k):
-        y, xbar = state
-        xi = batch_noise(source, streams, k, n, config.dim)
-        by = drift(y, config.potential_V, config.potential_W)
-        # the convolution of grad W with u_t, read off the auxiliary ensemble
-        bx = -config.potential_W.mean_grad(xbar, aux_traj[k])
-        return (apply_scheme(y, by, xi, policy.dt, policy.scheme, projected=True),
-                apply_scheme(xbar, bx, xi[:, :1, :], policy.dt, policy.scheme))
+        ensembles, systems, proxies = state
+        bx = [-W.mean_grad(xbar, aux) for xbar, aux in zip(proxies, ensembles)]
+        ensembles = [step_batch(aux, V, W, policy, source, ss, k, projected=True)
+                     for aux, ss in zip(ensembles, aux_streams)]
+        xi = [batch_noise(source, streams, k, n, dim) for n in N_values]
+        systems = [apply_scheme(y, drift(y, V, W), x, policy.dt, policy.scheme, projected=True)
+                   for y, x in zip(systems, xi)]
+        proxies = [apply_scheme(xbar, b, xi[-1][:, :1, :], policy.dt, policy.scheme)
+                   for xbar, b in zip(proxies, bx)]
+        return ensembles, systems, proxies
 
-    err = np.empty((len(obs), len(chunk)))
-    for slots, (y, xbar) in observation_schedule(obs, (y, xbar), advance):
-        err[slots] = np.sum((y[:, 0, :] - xbar[:, 0, :]) ** 2, axis=-1)
+    ensembles = [draw(m, ss) for m, ss in zip((M_reference, M_reference // 2), aux_streams)]
+    state = (ensembles, [draw(n, streams) for n in N_values], [draw(1, streams, False)] * 2)
+    err = np.empty((len(N_values) + 1, len(obs), len(chunk)))
+    for slots, (_, systems, (xbar, xbar_half)) in observation_schedule(obs, state, advance):
+        pairs = [(y, xbar) for y in systems] + [(systems[-1], xbar_half)]
+        for i, (y, x) in enumerate(pairs):
+            err[i, slots] = np.sum((y[:, 0, :] - x[:, 0, :]) ** 2, axis=-1)
     return err
 
 
@@ -371,35 +375,22 @@ def chaos_scan(
     if config.potential_W.declared_alpha <= 0.0:
         raise ValueError("chaos_scan needs declared alpha > 0 on potential_W")
     alpha = config.potential_W.declared_alpha
-    policy = config.step_policy
-    obs = observation_steps(config.observation_times, policy.dt)
-    n_steps = max(obs)
+    obs = observation_steps(config.observation_times, config.step_policy.dt)
     source = BrownianSource(config.seed)
 
     def run_chunk(chunk):
-        aux_streams = [config.stream_for_run(r, config.AUX_STREAM) for r in chunk]
-        aux = _simulate_aux_trajectory(config, source, aux_streams, M_reference, n_steps)
-        per_n = [
-            _chaos_errors_for_N(config, source, chunk, n, aux, obs, policy)
-            for n in N_values
-        ]
-        half_streams = [config.stream_for_run(r, config.HALF_AUX_STREAM) for r in chunk]
-        aux_half = _simulate_aux_trajectory(config, source, half_streams, M_reference // 2,
-                                            n_steps)
-        half = _chaos_errors_for_N(config, source, chunk, max(N_values), aux_half, obs, policy)
-        return per_n, half
+        return _chaos_walk(config, source, chunk, N_values, M_reference, obs)
 
-    results = _map_chunks(run_chunk, _chunks(runs_per_N, threads), threads)
-    errors, stderrs = [], []
-    for i, n in enumerate(N_values):
-        err_runs = np.concatenate([res[0][i] for res in results], axis=1)
+    err = np.concatenate(_map_chunks(run_chunk, _chunks(runs_per_N, threads), threads), axis=-1)
+    errors, stderrs, worst_times = [], [], []
+    for err_runs in err[:-1]:
         mean_t = err_runs.mean(axis=1)
         worst = int(np.argmax(mean_t))
         errors.append(float(mean_t[worst]))
         stderrs.append(float(err_runs[worst].std(ddof=1) / np.sqrt(err_runs.shape[1])))
+        worst_times.append(float(config.observation_times[worst]))
 
-    half_runs = np.concatenate([res[1] for res in results], axis=1)
-    err_half = float(half_runs.mean(axis=1).max())
+    err_half = float(err[-1].mean(axis=1).max())
     bias_ratio = abs(err_half - errors[-1]) / max(errors[-1], 1e-300)
 
     logn = np.log(np.asarray(N_values, float))
@@ -409,6 +400,7 @@ def chaos_scan(
         N_values=list(N_values),
         errors=errors,
         stderrs=stderrs,
+        worst_times=worst_times,
         fitted_slope=float(slope),
         predicted_slope=-1.0 / (1.0 + alpha),
         K_fitted=float(np.exp(intercept)),

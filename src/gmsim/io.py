@@ -69,16 +69,20 @@ def experiment_paths(out_dir, experiment: str, cfg_hash: str):
 
 
 def write_summary(path, summary: dict):
+    """Strict JSON: numpy values become plain ones and a non-finite float,
+    such as an undefined fit, becomes null."""
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(_plain(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _plain(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj

@@ -349,7 +349,7 @@ def test_cli_uniform_and_exp_square_moments_reach_report(tmp_path, capsys):
 def test_cli_chaos_scan_proxy_bias_exits_bound(tmp_path, capsys, monkeypatch):
     def biased_scan(config, N_values, M_reference, runs_per_N, threads=1):
         return experiments.ChaosScanResult(
-            N_values=[8, 16], errors=[0.2, 0.1], stderrs=[0.01, 0.01],
+            N_values=[8, 16], errors=[0.2, 0.1], stderrs=[0.01, 0.01], worst_times=[0.0, 0.0],
             fitted_slope=-1.0, predicted_slope=-1.0 / 3.0, K_fitted=1.0,
             M_reference=M_reference, runs_per_N=runs_per_N,
             proxy_bias_warning=True, proxy_bias_ratio=0.5,
@@ -361,6 +361,21 @@ def test_cli_chaos_scan_proxy_bias_exits_bound(tmp_path, capsys, monkeypatch):
     summary = json.loads(open(capsys.readouterr().out.strip()).read())
     assert summary["flags"] == {"errors_decreasing": True, "slope_fast_enough": True,
                                 "proxy_bias_ok": False}
+
+
+def test_cli_summary_is_strict_json_with_null_for_non_finite(tmp_path, capsys):
+    # The constant function has no tail to fit, so c_fitted is NaN.
+    path = Path(__file__).resolve().parent.parent / "configs" / "concentration.cfg"
+    code = run_cli(["concentration", "--config", str(path), "--seed", "31",
+                    "--function", "constant", "--trials", "50", "--out", str(tmp_path)])
+    assert code in (EXIT_OK, EXIT_BOUND)
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    summary = json.loads(Path(capsys.readouterr().out.strip()).read_text(),
+                         parse_constant=reject)
+    assert summary["result"]["c_fitted"] is None
 
 
 def _small_chaos_cfg(tmp_path, out):

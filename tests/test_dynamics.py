@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmsim.dynamics import (
+    LAW_KINDS,
     InitialLaw,
     IntegrationError,
     StepPolicy,
@@ -279,6 +280,23 @@ def test_initial_law_two_point_support():
     law = InitialLaw(kind="two_point", point_a=(-1.0,), point_b=(2.0,), weight=0.5)
     x = law.sample(BrownianSource(4), 0, 200, 1)
     assert set(np.unique(x)) == {-1.0, 2.0}
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+@pytest.mark.parametrize("d", [1, 3])
+def test_first_particle_draws_are_the_same_for_every_n(kind, d):
+    # The chaos scan's one proxy per ensemble rests on this: row 0 of the
+    # initial draw and particle 0's increments do not depend on n.
+    src, streams = BrownianSource(5), [0, 8, 40]
+    law = InitialLaw(kind=kind, mean=(0.5,), sigma=2.0, half_width=3.0, weight=0.4)
+    for s in streams:
+        rows = [law.sample(src, s, n, d)[:1] for n in (1, 2, 17)]
+        np.testing.assert_array_equal(rows[0], rows[1])
+        np.testing.assert_array_equal(rows[0], rows[2])
+    for k in (0, 3):
+        blocks = [batch_noise(src, streams, k, n, d)[:, :1] for n in (1, 2, 17)]
+        np.testing.assert_array_equal(blocks[0], blocks[1])
+        np.testing.assert_array_equal(blocks[0], blocks[2])
 
 
 def test_couple_initial_comonotone_sorts():

@@ -2,14 +2,16 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gmsim.config import config_hash, parse_config
-from gmsim.dynamics import InitialLaw
+from gmsim.dynamics import InitialLaw, observation_steps
 from gmsim.experiments import (
+    _chaos_walk,
     chaos_scan,
     concentration_suite,
     coupled_batch,
@@ -28,6 +30,7 @@ from gmsim.experiments import (
     uniform_moment_experiment,
     write_experiment_outputs,
 )
+from gmsim.rng import BrownianSource
 
 from conftest import make_config
 
@@ -207,6 +210,7 @@ def test_chaos_scan_small_run():
     res = chaos_scan(cfg, [4, 8, 16], M_reference=128, runs_per_N=16)
     assert res.N_values == [4, 8, 16]
     assert all(e > 0 for e in res.errors)
+    assert len(res.worst_times) == 3 and set(res.worst_times) <= {0.0, 0.5, 1.0}
     assert res.errors[0] > res.errors[-1]
     assert res.fitted_slope < 0
     assert res.predicted_slope == pytest.approx(-1.0 / 3.0)
@@ -222,6 +226,45 @@ def test_chaos_scan_thread_invariance():
     b = chaos_scan(cfg, [4, 8], 64, 8, threads=4)
     assert a.errors == b.errors
     assert a.fitted_slope == b.fitted_slope
+
+
+def test_chaos_walk_error_matches_the_linear_closed_form():
+    # W = kappa |x|^2, V = 0, Euler, projected: the projected ensembles have
+    # mean 0, so D = Y^1 - Xbar^1 obeys D_{k+1} = a D_k - sqrt(2 dt) xibar_k
+    # with a = 1 - 2 kappa dt, D_0 = -mean(x0) and xibar the mean of the N
+    # increments: E|D_k|^2 = (d/N) [sigma^2 a^{2k} + 2 dt (1 - a^{2k}) / (1 - a^2)].
+    # chaos_scan rejects alpha = 0, so the walk is called directly.
+    kappa, dt, d, sigma, runs = 1.0, 0.05, 2, 1.5, 1000
+    times = (0.0, 0.1, 0.5, 1.0)
+    cfg = make_config(
+        potential_W={"kind": "quadratic", "kappa": kappa, "A": 2.0, "alpha": 0.0,
+                     "m": 1, "p": None},
+        dynamics={"n": 16, "dim": d, "scheme": "euler", "dt": dt},
+        initial_law={"kind": "gaussian", "sigma": sigma},
+        experiment={"horizon": 1.0, "obs_times": ",".join(map(str, times)), "runs": runs},
+    )
+    obs = observation_steps(times, dt)
+    err = _chaos_walk(cfg, BrownianSource(cfg.seed), range(runs), [4, 16], 8, obs)
+    a = 1.0 - 2.0 * kappa * dt
+    a2k = a ** (2 * np.asarray(obs))
+    for n, err_n in zip([4, 16], err):
+        expected = d / n * (sigma**2 * a2k + 2.0 * dt * (1.0 - a2k) / (1.0 - a**2))
+        se = err_n.std(axis=1, ddof=1) / np.sqrt(runs)
+        assert np.all(np.abs(err_n.mean(axis=1) - expected) <= 4.0 * se)
+
+
+def test_chaos_scan_memory_does_not_grow_with_the_horizon():
+    def peak(horizon):
+        cfg = make_config(experiment={"horizon": horizon, "obs_times": None,
+                                      "obs_stride": 0.25, "obs_count": int(horizon / 0.25) + 1})
+        tracemalloc.start()
+        try:
+            chaos_scan(cfg, [8, 16], M_reference=256, runs_per_N=4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4.0) <= 1.5 * peak(0.5)
 
 
 # ---------------------------------------------------------------------------
