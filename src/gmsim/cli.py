@@ -19,9 +19,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import experiments, io as gio
-from .config import ConfigError, SimConfig, config_hash, parse_config, validate_potentials
+from .config import (
+    ConfigError, SimConfig, config_hash, declared_reports, parse_config, validate_potentials,
+)
 from .dynamics import IntegrationError
-from .potentials import check_declared
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,17 +40,12 @@ def _build_parser():
         sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--unchecked", action="store_true",
                         help="skip the declared-condition checkers")
-        sp.add_argument("--format", choices=("csv", "jsonl", "bin"), default=None,
-                        help="restrict output to one format")
 
     common(sub.add_parser("check-potential", help="probe the declared conditions"))
     sp = sub.add_parser("simulate", help="run the particle system")
     common(sp)
     sp.add_argument("--positions", action="store_true", help="include positions in JSONL")
-    sp = sub.add_parser("decay", help="coupled Wasserstein-decay experiment")
-    common(sp)
-    sp.add_argument("--coupling", default="comonotone-1d",
-                    choices=("independent", "comonotone-1d", "optimal-small-n"))
+    common(sub.add_parser("decay", help="coupled Wasserstein-decay experiment"))
     sp = sub.add_parser("chaos-scan", help="propagation-of-chaos rate scan")
     common(sp)
     sp.add_argument("--n-values", default="8,16,32,64")
@@ -69,31 +65,27 @@ def _build_parser():
     return p
 
 
-def _load_config(args) -> SimConfig:
+def _read_config(args) -> SimConfig:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
     cfg = replace(cfg, seed=int(args.seed))
     if args.out:
         cfg = replace(cfg, output_dir=args.out)
-    if args.format:
-        cfg = replace(cfg, output_formats=(args.format,))
+    return cfg
+
+
+def _load_config(args) -> SimConfig:
+    cfg = _read_config(args)
     if not args.unchecked:
         validate_potentials(cfg)
     return cfg
 
 
 def _cmd_check_potential(args) -> int:
-    cfg = _load_config(args)
-    reports = []
-    ok = True
-    for name, pot in (("potential_V", cfg.potential_V), ("potential_W", cfg.potential_W)):
-        if pot.is_zero:
-            continue
-        for rep in check_declared(pot):
-            reports.append({"potential": name, **rep.to_json()})
-            ok = ok and rep.satisfied
-    print(json.dumps(reports, indent=2))
-    return EXIT_OK if ok else EXIT_BOUND
+    """Print every declared condition's report; exit 2 when one fails."""
+    reports = declared_reports(_read_config(args))
+    print(json.dumps([{"potential": name, **rep.to_json()} for name, rep in reports], indent=2))
+    return EXIT_OK if all(rep.satisfied for _, rep in reports) else EXIT_BOUND
 
 
 def _cmd_simulate(args) -> int:
@@ -130,9 +122,7 @@ def _finish(cfg, experiment, arguments, result, flags, rows, header) -> int:
 
 def _cmd_decay(args) -> int:
     cfg = _load_config(args)
-    uniform = cfg.potential_W.declared_alpha == 0.0
-    fn = experiments.uniform_convex_decay if uniform else experiments.decay_experiment
-    res = fn(cfg, coupling=args.coupling, threads=args.threads)
+    res = experiments.decay_experiment(cfg, threads=args.threads)
     flags = {
         "monotone": res.monotonicity_defect <= 3.0 * float(np.max(res.xi_stderr)) + 5.0 * cfg.step_policy.dt,
         "envelope_ok": res.envelope_ok,
@@ -141,7 +131,7 @@ def _cmd_decay(args) -> int:
         (float(t), float(v), float(s), "coupled-upper", 2)
         for t, v, s in zip(res.times, res.xi, res.xi_stderr)
     ]
-    return _finish(cfg, "decay", {"coupling": args.coupling}, res, flags, rows,
+    return _finish(cfg, "decay", {}, vars(res), flags, rows,
                    ("time", "value", "stderr", "method", "p"))
 
 

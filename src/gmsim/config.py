@@ -414,21 +414,24 @@ def config_hash(cfg: SimConfig, arguments: dict | None = None) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def validate_potentials(cfg: SimConfig, probes: int = 256, extent: float = 4.0):
+def declared_reports(cfg: SimConfig) -> list:
+    """(potential name, report) for every condition that potential_V or
+    potential_W declares, probed by the condition checkers."""
+    return [(name, rep)
+            for name, pot in (("potential_V", cfg.potential_V), ("potential_W", cfg.potential_W))
+            if not pot.is_zero
+            for rep in potentials.check_declared(pot)]
+
+
+def validate_potentials(cfg: SimConfig):
     """Run the condition checkers on the declared constants; returns the
     reports and raises ConfigError when any declared condition fails."""
-    reports = []
-    errors = []
-    for name, pot in (("potential_V", cfg.potential_V), ("potential_W", cfg.potential_W)):
-        if pot.is_zero:
-            continue
-        for rep in potentials.check_declared(pot, probes=probes, extent=extent):
-            reports.append((name, rep))
-            if not rep.satisfied:
-                errors.append(
-                    f"[{name}] declared condition {rep.condition_name} violated "
-                    f"by {rep.worst_violation:.3g} on the probe set"
-                )
+    reports = declared_reports(cfg)
+    errors = [
+        f"[{name}] declared condition {rep.condition_name} violated "
+        f"by {rep.worst_violation:.3g} on the probe set"
+        for name, rep in reports if not rep.satisfied
+    ]
     if errors:
         raise ConfigError(errors)
     return reports

@@ -1,5 +1,5 @@
 """Particle-system dynamics: drift evaluation, Euler-type steppers with
-drift taming, the zero-mean projected system, and synchronous couplings.
+drift taming, the zero-mean projected system, and the synchronous coupling.
 
 Positions always carry a leading run axis, (runs, N, d); a single run is a
 batch of one.  Independent Monte Carlo runs advance in lockstep: each step
@@ -16,6 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .potentials import Potential
 from .rng import INIT_STEP, BrownianSource
@@ -203,35 +204,11 @@ def coupled_step_batch(
     return xa, xb
 
 
-def couple_initial(
-    law_a: InitialLaw,
-    law_b: InitialLaw,
-    source: BrownianSource,
-    stream_a: int,
-    stream_b: int,
-    n: int,
-    dim: int,
-    coupling: str = "comonotone-1d",
-):
-    """Draw a coupled pair of initial ensembles.
-
-    independent: draws from separate streams.  comonotone-1d (d = 1 only):
-    sorts both draws, realizing the quantile coupling that is optimal for
-    convex costs in one dimension.  optimal-small-n: matches the draws by
-    a minimum-cost assignment (exact for the empirical measures).
-    """
-    xa = law_a.sample(source, stream_a, n, dim)
-    xb = law_b.sample(source, stream_b, n, dim)
-    if coupling == "independent":
-        return xa, xb
-    if coupling == "comonotone-1d":
-        if dim != 1:
-            raise ValueError("comonotone-1d coupling requires dim == 1")
+def couple_initial(xa: np.ndarray, xb: np.ndarray):
+    """Pair two initial ensembles (N, d) particle by particle: sorted in
+    d = 1, the quantile coupling that is optimal for convex costs, and by a
+    minimum-cost assignment for d > 1, exact for the empirical measures."""
+    if xa.shape[-1] == 1:
         return np.sort(xa, axis=0), np.sort(xb, axis=0)
-    if coupling == "optimal-small-n":
-        from scipy.optimize import linear_sum_assignment
-
-        cost = np.sum((xa[:, None, :] - xb[None, :, :]) ** 2, axis=-1)
-        rows, cols = linear_sum_assignment(cost)
-        return xa[rows], xb[cols]
-    raise ValueError(f"unknown coupling {coupling!r}")
+    rows, cols = linear_sum_assignment(np.sum((xa[:, None, :] - xb[None, :, :]) ** 2, axis=-1))
+    return xa[rows], xb[cols]

@@ -20,7 +20,6 @@ from scipy import stats
 from . import io as gio
 from .config import SimConfig, canonical_text, config_hash
 from .dynamics import (
-    InitialLaw,
     batch_noise,
     coupled_step_batch,
     couple_initial,
@@ -144,19 +143,21 @@ def simulate_batch(config: SimConfig, runs: int | None = None, threads: int = 1)
     return np.asarray(config.observation_times), np.concatenate(parts, axis=1)
 
 
-def coupled_batch(config: SimConfig, law_a: InitialLaw, law_b: InitialLaw,
-                  runs: int, coupling: str = "comonotone-1d", threads: int = 1):
-    """Coupled pairs advanced on shared noise; returns (times, xi_runs) with
-    xi_runs of shape (n_obs, runs)."""
+def coupled_batch(config: SimConfig, threads: int = 1):
+    """Pairs started from initial_law and initial_law_b, coupled by
+    couple_initial and advanced on shared noise; returns (times, xi_runs)
+    with xi_runs of shape (n_obs, runs)."""
     source = BrownianSource(config.seed)
     projected = config.mode == "projected"
     obs = observation_steps(config.observation_times, config.step_policy.dt)
+    n, dim = config.n, config.dim
 
     def run_chunk(chunk):
         streams = [config.stream_for_run(r) for r in chunk]
         xa, xb = initial_batch(
-            lambda s: couple_initial(law_a, law_b, source, s, s + config.PARTNER_STREAM,
-                                     config.n, config.dim, coupling),
+            lambda s: couple_initial(
+                config.initial_law.sample(source, s, n, dim),
+                config.initial_law_b.sample(source, s + config.PARTNER_STREAM, n, dim)),
             streams, projected,
         )
 
@@ -169,7 +170,7 @@ def coupled_batch(config: SimConfig, law_a: InitialLaw, law_b: InitialLaw,
             xi_out[slots] = np.mean(np.sum((xa - xb) ** 2, axis=-1), axis=-1)
         return xi_out
 
-    parts = _map_chunks(run_chunk, _chunks(runs, threads), threads)
+    parts = _map_chunks(run_chunk, _chunks(config.runs, threads), threads)
     return np.asarray(config.observation_times), np.concatenate(parts, axis=1)
 
 
@@ -181,8 +182,6 @@ class DecayResult:
     times: np.ndarray
     xi: np.ndarray
     xi_stderr: np.ndarray
-    envelope_poly: np.ndarray | None
-    envelope_exp: np.ndarray
     A_alpha: float
     B_alpha: float
     t1_bound: float
@@ -195,38 +194,22 @@ class DecayResult:
     runs: int
     fit_windows: dict = field(default_factory=dict)
 
-    def to_json(self):
-        # the envelopes follow from times, xi[0] and the declared constants
-        return {k: v for k, v in vars(self).items()
-                if k not in ("envelope_poly", "envelope_exp")}
 
-
-def decay_experiment(
-    config: SimConfig,
-    law_a: InitialLaw | None = None,
-    law_b: InitialLaw | None = None,
-    runs: int | None = None,
-    coupling: str = "comonotone-1d",
-    threads: int = 1,
-) -> DecayResult:
+def decay_experiment(config: SimConfig, threads: int = 1) -> DecayResult:
     """Average coupled squared distance xi(t) over runs against the decay
-    envelopes implied by the declared degenerate-convexity constants."""
+    envelopes implied by the declared degenerate-convexity constants.  The
+    exponential rate is fitted on the whole series above 1e-10 xi(0) when
+    alpha = 0, and before xi first reaches 1 otherwise."""
     W = config.potential_W
     if W.declared_A <= 0.0:
         raise ValueError("decay_experiment needs declared (A, alpha) on potential_W")
-    A, alpha = W.declared_A, W.declared_alpha
-    law_a = law_a or config.initial_law
-    law_b = law_b or config.initial_law_b
-    if law_b is None:
+    if config.initial_law_b is None:
         raise ValueError("decay_experiment needs a second initial law")
-    runs = config.runs if runs is None else runs
-    times, xi_runs = coupled_batch(config, law_a, law_b, runs, coupling, threads)
+    A, alpha, runs = W.declared_A, W.declared_alpha, config.runs
+    times, xi_runs = coupled_batch(config, threads)
     xi = xi_runs.mean(axis=1)
     se = xi_runs.std(axis=1, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros_like(xi)
     xi0 = float(xi[0])
-
-    env_exp = xi0 * np.exp(-exp_phase_rate(A, alpha) * times)
-    env_poly = polynomial_envelope(times, xi0, A, alpha) if alpha > 0 and xi0 > 0 else None
 
     defect = float(np.max(np.diff(xi))) if xi.size > 1 else 0.0
     below_one = np.nonzero(xi <= 1.0)[0]
@@ -234,14 +217,14 @@ def decay_experiment(
 
     tail_window = times >= times[-1] / 10.0
     tail_slope = fit_loglog_slope(times[tail_window], xi[tail_window])
-    if t1_emp is not None and t1_emp > 0:
-        exp_window = times < t1_emp
+    if alpha == 0.0:
+        exp_rate = fit_exp_rate(times, xi, floor=xi0 * 1e-10)
     else:
-        exp_window = np.ones_like(times, dtype=bool)
-    exp_rate = fit_exp_rate(times[exp_window], xi[exp_window])
+        window = times < t1_emp if t1_emp else slice(None)
+        exp_rate = fit_exp_rate(times[window], xi[window])
 
-    if env_poly is not None:
-        bad = xi > env_poly + 3.0 * se
+    if alpha > 0 and xi0 > 0:
+        bad = xi > polynomial_envelope(times, xi0, A, alpha) + 3.0 * se
         env_ok = not bool(np.any(bad))
         first_bad = float(times[np.nonzero(bad)[0][0]]) if not env_ok else None
     else:
@@ -251,8 +234,6 @@ def decay_experiment(
         times=times,
         xi=xi,
         xi_stderr=se,
-        envelope_poly=env_poly,
-        envelope_exp=env_exp,
         A_alpha=exp_phase_rate(A, alpha),
         B_alpha=poly_phase_constant(A, alpha),
         t1_bound=t1_upper_bound(A, alpha, xi0),
@@ -270,27 +251,12 @@ def decay_experiment(
     )
 
 
-def uniform_convex_decay(
-    config: SimConfig,
-    law_a: InitialLaw | None = None,
-    law_b: InitialLaw | None = None,
-    runs: int | None = None,
-    coupling: str = "comonotone-1d",
-    threads: int = 1,
-) -> DecayResult:
-    """Decay experiment for the uniformly convex case C(A, 0): fits an
-    exponential rate for xi and compares it with 2A (squared distances
-    decay at twice the distance rate)."""
-    W = config.potential_W
-    if W.declared_alpha != 0.0:
+def uniform_convex_decay(config: SimConfig, threads: int = 1) -> DecayResult:
+    """Decay experiment for the uniformly convex case C(A, 0), whose
+    squared distances decay at the rate 2A."""
+    if config.potential_W.declared_alpha != 0.0:
         raise ValueError("uniform_convex_decay requires declared alpha == 0")
-    res = decay_experiment(config, law_a, law_b, runs, coupling, threads)
-    if res.xi[0] == 0.0:
-        return replace(res, exp_rate=float("nan"))
-    # Refit on the full series above the numerical floor.
-    floor = res.xi[0] * 1e-10
-    rate = fit_exp_rate(res.times, res.xi, floor=floor)
-    return replace(res, exp_rate=rate)
+    return decay_experiment(config, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +340,9 @@ def chaos_scan(
         raise ValueError("M_reference must be at least 8 * max(N_values)")
     if config.potential_W.declared_alpha <= 0.0:
         raise ValueError("chaos_scan needs declared alpha > 0 on potential_W")
+    if config.mode != "projected":
+        raise ValueError("chaos_scan needs mode = projected: it runs projected N-systems "
+                         "and a proxy without potential_V")
     alpha = config.potential_W.declared_alpha
     obs = observation_steps(config.observation_times, config.step_policy.dt)
     source = BrownianSource(config.seed)
@@ -414,12 +383,11 @@ def chaos_scan(
 # ---------------------------------------------------------------------------
 # uniform-in-time moments
 
-def uniform_moment_experiment(config: SimConfig, runs: int | None = None,
-                              order: int = 2, threads: int = 1):
-    """Tracks E|Y^1|^order over the horizon and tests the second half of
-    the series for a zero linear trend at 95%."""
-    times, pos = simulate_batch(config, runs, threads)
-    series = moment(pos, order, times=list(times))
+def uniform_moment_experiment(config: SimConfig, threads: int = 1):
+    """Tracks E|Y^1|^2 over the horizon and tests the second half of the
+    series for a zero linear trend at 95%."""
+    times, pos = simulate_batch(config, threads=threads)
+    series = moment(pos, 2, times=list(times))
     half = times >= times[-1] / 2.0
     slope, se = fit_linear_trend(times[half], np.asarray(series.values)[half])
     df = int(half.sum()) - 2
@@ -523,7 +491,6 @@ def concentration_suite(
     config: SimConfig,
     f_name: str = "coordinate",
     T: float | None = None,
-    r_grid=None,
     trials: int = 400,
     threads: int = 1,
 ) -> ConcentrationResult:
@@ -545,9 +512,7 @@ def concentration_suite(
     ref = float(S.mean())
     dev = S - ref
     scale = float(dev.std(ddof=1)) if trials > 1 else 1.0
-    if r_grid is None:
-        r_grid = np.linspace(0.5, 4.0, 8) * max(scale, 1e-12)
-    r_grid = np.asarray(r_grid, float)
+    r_grid = np.linspace(0.5, 4.0, 8) * max(scale, 1e-12)
     counts = np.array([(dev >= r).sum() for r in r_grid])
     tail = counts / trials
     unreliable = counts < 5
@@ -589,7 +554,7 @@ def write_experiment_outputs(config: SimConfig, experiment: str, arguments: dict
         "config_echo": canonical_text(config),
         "arguments": arguments,
         "flags": {k: bool(v) for k, v in flags.items()},
-        "result": result.to_json() if hasattr(result, "to_json") else result,
+        "result": result,
     }
     gio.write_summary(json_path, summary)
     gio.write_series_csv(csv_path, series_header, series_rows)

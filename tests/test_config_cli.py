@@ -1,5 +1,6 @@
 """Config parsing/validation, canonical serialization, and the CLI surface."""
 
+import itertools
 import json
 import os
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmsim import experiments
+from gmsim import experiments, potentials
 from gmsim.cli import EXIT_BOUND, EXIT_OK, EXIT_USAGE, run_cli
 from gmsim.config import (
     ConfigError,
@@ -17,6 +18,7 @@ from gmsim.config import (
     validate_potentials,
 )
 from gmsim.dynamics import observation_steps
+from gmsim.rng import BrownianSource
 
 from conftest import config_text, make_config
 
@@ -213,27 +215,48 @@ def write_cfg(tmp_path, **overrides):
     return str(path)
 
 
+def load_summary(path):
+    """The summary at path, after checking that its config echo and
+    arguments hash back to its config_hash."""
+    summary = json.loads(Path(path).read_text())
+    echoed = parse_config(summary["config_echo"])
+    assert config_hash(echoed, summary["arguments"]) == summary["config_hash"]
+    return summary
+
+
 def test_cli_requires_seed(tmp_path, capsys):
     path = write_cfg(tmp_path)
     assert run_cli(["simulate", "--config", path]) == EXIT_USAGE
     capsys.readouterr()
 
 
-def test_cli_check_potential_json(tmp_path, capsys):
+def test_cli_check_potential_json(tmp_path, capsys, monkeypatch):
+    calls = []
+    check_C = potentials.check_condition_C
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_C(*args, **kwargs)
+
+    monkeypatch.setattr(potentials, "check_condition_C", counted)
     path = write_cfg(tmp_path)
     assert run_cli(["check-potential", "--config", path, "--seed", "3"]) == EXIT_OK
     reports = json.loads(capsys.readouterr().out)
     assert {r["condition_name"] for r in reports} == {"C_A_alpha", "A3"}
     assert all(r["satisfied"] for r in reports)
+    assert len(calls) == 1  # each checker runs once
 
 
 def test_cli_check_potential_bound_violation(tmp_path, capsys):
+    # The violated declaration is reported, not refused as a config error.
     path = write_cfg(tmp_path, potential_W={"kind": "quadratic", "kappa": 1.0,
                                             "A": 10.0, "alpha": 0.0, "p": None,
                                             "m": 1})
-    code = run_cli(["check-potential", "--config", path, "--seed", "3", "--unchecked"])
-    capsys.readouterr()
+    code = run_cli(["check-potential", "--config", path, "--seed", "3"])
+    reports = json.loads(capsys.readouterr().out)
     assert code == EXIT_BOUND
+    assert [(r["condition_name"], r["satisfied"]) for r in reports] == [
+        ("C_A_alpha", False), ("A3", True)]
 
 
 def test_cli_config_errors_exit_usage(tmp_path, capsys):
@@ -291,14 +314,34 @@ def test_cli_decay_quadratic(tmp_path, capsys):
         output={"dir": str(out)},
     )
     assert run_cli(["decay", "--config", path, "--seed", "11"]) == EXIT_OK
-    summary_path = capsys.readouterr().out.strip()
-    summary = json.loads(open(summary_path).read())
+    summary = load_summary(capsys.readouterr().out.strip())
     rate = summary["result"]["exp_rate"]
     assert 3.6 <= rate <= 4.4
-    # config echo and arguments re-validate to the same hash
-    assert summary["arguments"] == {"coupling": "comonotone-1d"}
-    echoed = parse_config(summary["config_echo"])
-    assert config_hash(echoed, summary["arguments"]) == summary["config_hash"]
+    assert summary["arguments"] == {}
+
+
+def test_cli_decay_in_d2_starts_from_the_optimal_pairing(tmp_path, capsys):
+    # In d > 1 the pair is matched by an exact assignment, so the raw-mode
+    # xi(0) of each run is the minimum over all n! pairings of its draws.
+    n, runs = 5, 3
+    path = write_cfg(
+        tmp_path,
+        dynamics={"n": n, "dim": 2, "mode": "raw", "dt": 0.05},
+        experiment={"horizon": 0.1, "obs_times": "0.0,0.1", "runs": runs},
+        initial_law_b={"kind": "gaussian", "mean": "1.5,-0.5", "sigma": 0.5},
+        output={"dir": str(tmp_path / "out")},
+    )
+    assert run_cli(["decay", "--config", path, "--seed", "7"]) in (EXIT_OK, EXIT_BOUND)
+    summary = load_summary(capsys.readouterr().out.strip())
+    cfg = parse_config(Path(path).read_text())
+    src, best = BrownianSource(7), []
+    for r in range(runs):
+        s = cfg.stream_for_run(r)
+        xa = cfg.initial_law.sample(src, s, n, 2)
+        xb = cfg.initial_law_b.sample(src, s + cfg.PARTNER_STREAM, n, 2)
+        best.append(min(np.mean(np.sum((xa - xb[list(p)]) ** 2, axis=-1))
+                        for p in itertools.permutations(range(n))))
+    assert summary["result"]["xi"][0] == pytest.approx(np.mean(best), rel=1e-12)
 
 
 def test_cli_integration_error_is_one_line(tmp_path, capsys):
@@ -338,6 +381,7 @@ def test_cli_uniform_and_exp_square_moments_reach_report(tmp_path, capsys):
     paths = capsys.readouterr().out.split()
     assert [os.path.basename(p).split("-")[0] for p in paths] == ["uniform", "exp"]
     for p in paths:
+        assert load_summary(p)["arguments"] == {}
         assert os.path.exists(p[: -len(".json")] + ".csv")
     run_cli(["report", "--seed", "0", "--out", str(out)])
     report = capsys.readouterr().out
@@ -399,7 +443,7 @@ def test_cli_chaos_scans_with_different_n_values_keep_both_summaries(tmp_path, c
     assert paths[0] != paths[1]
     assert sorted(p.name for p in out.glob("chaos-scan-*.json")) == sorted(
         os.path.basename(p) for p in paths)
-    args = [json.loads(open(p).read())["arguments"] for p in paths]
+    args = [load_summary(p)["arguments"] for p in paths]
     assert args == [{"n_values": [4, 8], "m_reference": 128, "runs_per_n": 2},
                     {"n_values": [4, 16], "m_reference": 128, "runs_per_n": 2}]
 
@@ -434,7 +478,7 @@ def test_cli_concentration_fails_against_an_over_declared_lambda(tmp_path, capsy
     capsys.readouterr()
     code = run_cli(["concentration", "--config", path, "--seed", "4", "--unchecked",
                     "--trials", "200"])
-    summary = json.loads(open(capsys.readouterr().out.strip()).read())
+    summary = load_summary(capsys.readouterr().out.strip())
     assert code == EXIT_BOUND
     assert summary["flags"] == {"bound_holds": False}
     res = summary["result"]
@@ -461,3 +505,22 @@ def test_cli_report_aggregates_flags(tmp_path, capsys):
 def test_cli_unknown_subcommand_is_usage_error(capsys):
     assert run_cli(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_cli_chaos_scan_rejects_raw_mode(tmp_path, capsys):
+    # The scan's N-systems are projected and its proxy ignores potential_V.
+    out = tmp_path / "out"
+    path = write_cfg(
+        tmp_path,
+        potential_V={"kind": "quadratic", "kappa": 5.0},
+        dynamics={"n": 4, "mode": "raw", "dt": 0.05},
+        experiment={"horizon": 0.1, "obs_times": "0.0,0.1", "runs": 2},
+        output={"dir": str(out)},
+    )
+    code = run_cli(["chaos-scan", "--config", path, "--seed", "1", "--n-values", "4,8",
+                    "--m-reference", "128", "--runs-per-n", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error: chaos_scan needs mode = projected")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()

@@ -300,34 +300,23 @@ def test_first_particle_draws_are_the_same_for_every_n(kind, d):
 
 
 def test_couple_initial_comonotone_sorts():
-    la = InitialLaw(kind="gaussian", sigma=1.0)
-    lb = InitialLaw(kind="gaussian", sigma=2.0)
-    xa, xb = couple_initial(la, lb, BrownianSource(1), 0, 1, 16, 1, "comonotone-1d")
+    src = BrownianSource(1)
+    xa = InitialLaw(kind="gaussian", sigma=1.0).sample(src, 0, 16, 1)
+    xb = InitialLaw(kind="gaussian", sigma=2.0).sample(src, 1, 16, 1)
+    xa, xb = couple_initial(xa, xb)
     assert np.all(np.diff(xa[:, 0]) >= 0)
     assert np.all(np.diff(xb[:, 0]) >= 0)
 
 
-def test_couple_initial_comonotone_rejects_d2():
-    la = InitialLaw(kind="gaussian")
-    with pytest.raises(ValueError):
-        couple_initial(la, la, BrownianSource(1), 0, 1, 4, 2, "comonotone-1d")
-
-
 def test_couple_initial_optimal_matches_sorted_in_1d():
-    # in d=1 the optimal assignment for squared cost is the monotone one
-    la = InitialLaw(kind="gaussian", sigma=1.0)
-    lb = InitialLaw(kind="gaussian", mean=(1.0,), sigma=0.5)
-    xa, xb = couple_initial(la, lb, BrownianSource(2), 0, 1, 12, 1, "optimal-small-n")
-    cost_opt = np.sum((xa - xb) ** 2)
-    ya, yb = couple_initial(la, lb, BrownianSource(2), 0, 1, 12, 1, "comonotone-1d")
-    cost_mono = np.sum((ya - yb) ** 2)
-    assert cost_opt == pytest.approx(cost_mono, rel=1e-12)
-
-
-def test_couple_initial_unknown_coupling():
-    la = InitialLaw(kind="gaussian")
-    with pytest.raises(ValueError):
-        couple_initial(la, la, BrownianSource(1), 0, 1, 4, 1, "grand")
+    # The assignment used for d > 1, on points of a line embedded in d = 2,
+    # finds the monotone pairing: the optimal one for squared cost in 1-d.
+    src = BrownianSource(2)
+    xa = InitialLaw(kind="gaussian", sigma=1.0).sample(src, 0, 12, 1)
+    xb = InitialLaw(kind="gaussian", mean=(1.0,), sigma=0.5).sample(src, 1, 12, 1)
+    ya, yb = couple_initial(xa, xb)
+    za, zb = couple_initial(*(np.hstack([x, np.zeros_like(x)]) for x in (xa, xb)))
+    assert np.sum((za - zb) ** 2) == pytest.approx(np.sum((ya - yb) ** 2), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +363,11 @@ def test_unprojected_mean_is_brownian():
 def test_coupled_simulate_identical_start_stays_zero():
     cfg = make_config(
         dynamics={"n": 6, "scheme": "euler", "dt": 0.01},
-        experiment={"horizon": 0.2, "obs_times": "0.0,0.1,0.2"},
+        experiment={"horizon": 0.2, "obs_times": "0.0,0.1,0.2", "runs": 1},
         initial_law={"kind": "two_point", "point_a": 0.0, "point_b": 0.0},
+        initial_law_b={"kind": "two_point", "point_a": 0.0, "point_b": 0.0},
     )
-    law = cfg.initial_law
-    _, xi = coupled_batch(cfg, law, law, runs=1)
+    _, xi = coupled_batch(cfg)
     assert xi[:, 0].tolist() == [0.0, 0.0, 0.0]
 
 
@@ -386,11 +375,11 @@ def test_coupled_simulate_quadratic_matches_linear_ode():
     cfg = make_config(
         potential_W={"kind": "quadratic", "kappa": 1.0},
         dynamics={"n": 16, "scheme": "euler", "dt": 1e-3},
-        experiment={"horizon": 0.5, "obs_times": "0.0,0.25,0.5"},
+        experiment={"horizon": 0.5, "obs_times": "0.0,0.25,0.5", "runs": 1},
         initial_law={"kind": "gaussian", "sigma": 1.0},
+        initial_law_b={"kind": "gaussian", "mean": 2.0, "sigma": 0.5},
     )
-    law_b = InitialLaw(kind="gaussian", mean=(2.0,), sigma=0.5)
-    times, xi = coupled_batch(cfg, cfg.initial_law, law_b, runs=1)
+    times, xi = coupled_batch(cfg)
     for t, v in zip(times[1:], xi[1:, 0]):
         # difference solves dZ/dt = -2Z exactly; squared distance decays at 4
         assert v == pytest.approx(xi[0, 0] * np.exp(-4.0 * t), rel=0.02)
@@ -399,9 +388,9 @@ def test_coupled_simulate_quadratic_matches_linear_ode():
 def test_coupled_simulate_quartic_nonincreasing():
     cfg = make_config(
         dynamics={"n": 16, "scheme": "tamed", "dt": 0.005},
-        experiment={"horizon": 1.0, "obs_times": "0.0,0.25,0.5,0.75,1.0"},
+        experiment={"horizon": 1.0, "obs_times": "0.0,0.25,0.5,0.75,1.0", "runs": 1},
+        initial_law_b={"kind": "gaussian", "sigma": 0.4},
     )
-    law_b = InitialLaw(kind="gaussian", sigma=0.4)
-    _, xi = coupled_batch(cfg, cfg.initial_law, law_b, runs=1)
+    _, xi = coupled_batch(cfg)
     xis = xi[:, 0].tolist()
     assert all(b <= a + 5 * 0.005 for a, b in zip(xis, xis[1:]))

@@ -109,14 +109,14 @@ def test_observations_snapping_to_one_step_are_all_filled():
     on_grid = make_config(
         dynamics={"n": 6, "dt": 0.1},
         experiment={"horizon": 1.0, "obs_times": "0.0,0.2,1.0", "runs": 2},
+        initial_law_b={"kind": "gaussian", "sigma": 0.5},
     )
     cfg = replace(on_grid, observation_times=(0.0, 0.21, 0.25, 1.0))
     _, pos = simulate_batch(cfg)
     _, pos_grid = simulate_batch(on_grid)
     np.testing.assert_array_equal(pos, pos_grid[[0, 1, 1, 2]])
-    law_b = InitialLaw(kind="gaussian", sigma=0.5)
-    _, xi = coupled_batch(cfg, cfg.initial_law, law_b, runs=2)
-    _, xi_grid = coupled_batch(on_grid, cfg.initial_law, law_b, runs=2)
+    _, xi = coupled_batch(cfg)
+    _, xi_grid = coupled_batch(on_grid)
     np.testing.assert_array_equal(xi, xi_grid[[0, 1, 1, 2]])
 
 
@@ -150,9 +150,9 @@ def test_uniform_convex_decay_rate_scales_with_kappa():
 
 
 def test_uniform_convex_decay_zero_start_skips_fit():
-    cfg = quadratic_decay_config()
     point = InitialLaw(kind="two_point", point_a=(0.0,), point_b=(0.0,))
-    res = uniform_convex_decay(cfg, law_a=point, law_b=point)
+    cfg = replace(quadratic_decay_config(), initial_law=point, initial_law_b=point)
+    res = uniform_convex_decay(cfg)
     assert np.all(res.xi == 0.0)
     assert math.isnan(res.exp_rate)
 
@@ -164,9 +164,10 @@ def test_uniform_convex_decay_requires_alpha_zero():
 
 def test_decay_experiment_requires_declared_constants():
     cfg = make_config(potential_W={"kind": "power_law", "p": 4.0, "A": None,
-                                   "alpha": None})
+                                   "alpha": None},
+                      initial_law_b={"kind": "gaussian", "sigma": 0.5})
     with pytest.raises(ValueError, match="declared"):
-        decay_experiment(cfg, law_b=InitialLaw(kind="gaussian", sigma=0.5))
+        decay_experiment(cfg)
 
 
 def test_decay_experiment_quartic_envelopes():
@@ -184,9 +185,6 @@ def test_decay_experiment_quartic_envelopes():
     assert res.B_alpha == pytest.approx(1.0)
     assert res.monotonicity_defect <= 3 * np.max(res.xi_stderr) + 5 * 0.005
     assert res.xi[0] < 1.0 and res.t1_empirical == 0.0
-    js = res.to_json()
-    assert js["envelope_ok"] is True
-    assert "fit_windows" in js
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +385,14 @@ def test_write_experiment_outputs_round_trip(tmp_path):
     cfg = make_config(output={"dir": str(tmp_path / "out")})
     res = uniform_convex_decay(quadratic_decay_config())
     jp, cp = write_experiment_outputs(
-        cfg, "decay", {"coupling": "independent"}, res, {"ok": True},
+        cfg, "decay", {"note": "any"}, vars(res), {"ok": True},
         [(0.0, 1.0, 0.1, "coupled-upper", 2)],
         ("time", "value", "stderr", "method", "p"),
     )
     summary = json.loads(open(jp).read())
     assert summary["flags"] == {"ok": True}
-    assert summary["arguments"] == {"coupling": "independent"}
+    assert summary["arguments"] == {"note": "any"}
+    assert summary["result"]["envelope_ok"] is True and "fit_windows" in summary["result"]
     echoed = parse_config(summary["config_echo"])
     assert config_hash(echoed, summary["arguments"]) == summary["config_hash"]
     assert open(cp).readline().strip() == "time,value,stderr,method,p"
