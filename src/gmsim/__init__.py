@@ -10,7 +10,6 @@ from .potentials import (
     quadratic,
     uniform_plus_bump,
     zero,
-    sampled,
     check_condition_C,
     check_convexity_at_infinity,
     check_polynomial_growth,

@@ -17,10 +17,9 @@ from . import potentials
 from .dynamics import LAW_KINDS, InitialLaw, StepPolicy
 
 _POTENTIAL_KEYS = {
-    "kind", "p", "kappa", "amplitude", "radius", "slopes", "r_max",
-    "m", "lambda", "C", "A", "alpha",
+    "kind", "p", "kappa", "amplitude", "radius", "m", "lambda", "C", "A", "alpha",
 }
-_POTENTIAL_NUMBERS = {"p", "kappa", "amplitude", "radius", "r_max"}
+_POTENTIAL_NUMBERS = {"p", "kappa", "amplitude", "radius"}
 _DYNAMICS_KEYS = {"n", "dim", "mode", "scheme", "dt"}
 _LAW_KEYS = {"kind", "mean", "sigma", "half_width", "point_a", "point_b", "weight"}
 _EXPERIMENT_KEYS = {"horizon", "obs_stride", "obs_count", "obs_times", "seed", "runs"}
@@ -165,8 +164,6 @@ def _build_potential(sec: dict, errors: list, where: str):
         "declared_alpha": _number(sec, "alpha", 0.0, errors, where),
     }
     params = {k: _number(sec, k, None, errors, where) for k in _POTENTIAL_NUMBERS & sec.keys()}
-    if "slopes" in sec:
-        params["slopes"] = _numbers(sec, "slopes", None, errors, where)
     if len(errors) > reported:
         return potentials.zero()
     sec = {**sec, **params}
@@ -181,8 +178,6 @@ def _build_potential(sec: dict, errors: list, where: str):
             return potentials.uniform_plus_bump(
                 sec["kappa"], sec["amplitude"], sec["radius"], **declared
             )
-        if kind == "sampled":
-            return potentials.sampled(sec["slopes"], sec["r_max"], **declared)
         errors.append(f"[{where}] unknown potential kind {kind!r}")
     except KeyError as exc:
         errors.append(f"[{where}] kind {kind!r} missing parameter {exc.args[0]!r}")
@@ -220,19 +215,24 @@ def _observation_times(exp: dict, horizon: float, dt: float, errors: list):
     return tuple(float(t) for t in np.round(np.arange(count) * stride, 12))
 
 
-def _check_on_grid(times, dt: float, errors: list):
-    """Reject times off the step grid by more than the slack of
+def observation_time_errors(times, horizon: float, dt: float | None) -> list:
+    """Errors for observation times outside [0, horizon] and, unless dt is
+    None, for times off the step grid by more than the slack of
     dynamics.observation_steps, which would report the state of an earlier
     step under the requested time."""
-    off = [t for t in times if abs(t / dt - round(t / dt)) > 1e-9]
+    errors = []
+    if any(t < 0 or t > horizon + 1e-9 for t in times):
+        errors.append("observation times must lie in [0, horizon]")
+    off = [t for t in times if abs(t / dt - round(t / dt)) > 1e-9] if dt else []
     if off:
         k = off[0] / dt
         more = f"; {len(off) - 1} more times are off the grid" if len(off) > 1 else ""
         errors.append(
-            f"[experiment] observation time {off[0]!r} is off the dt = {dt!r} step grid; "
+            f"observation time {off[0]!r} is off the dt = {dt!r} step grid; "
             f"its neighbouring grid times are {round(math.floor(k) * dt, 12)!r} and "
             f"{round(math.ceil(k) * dt, 12)!r}{more}"
         )
+    return errors
 
 
 def parse_config(text: str) -> SimConfig:
@@ -279,12 +279,10 @@ def parse_config(text: str) -> SimConfig:
     if obs is not None:
         if not obs:
             errors.append("[experiment] at least one observation time is required")
-        if any(t < 0 or (horizon_ok and t > horizon + 1e-9) for t in obs):
-            errors.append("[experiment] observation times must lie in [0, horizon]")
         if list(obs) != sorted(set(obs)):
             errors.append("[experiment] observation times must be sorted and unique")
-        if policy_ok:
-            _check_on_grid(obs, policy.dt, errors)
+        errors += [f"[experiment] {e}" for e in observation_time_errors(
+            obs, horizon if horizon_ok else math.inf, policy.dt if policy_ok else None)]
     if "seed" not in exp:
         errors.append("[experiment] seed is required (no wall-clock default)")
     seed = _number(exp, "seed", 0, errors, "experiment", int)
@@ -308,8 +306,8 @@ def parse_config(text: str) -> SimConfig:
     if errors:
         raise ConfigError(errors)
     return SimConfig(
-        potential_V=potentials.with_dim(pv, dim),
-        potential_W=potentials.with_dim(pw, dim),
+        potential_V=pv,
+        potential_W=pw,
         n=n,
         dim=dim,
         mode=mode,
@@ -336,11 +334,7 @@ def _fmt(v) -> str:
 
 
 def _potential_items(p: potentials.Potential):
-    items = [("kind", p.kind)]
-    for key in sorted(p.params):
-        if key == "dim":
-            continue
-        items.append((key, p.params[key]))
+    items = [("kind", p.kind)] + sorted(p.params.items())
     items += [
         ("m", p.growth_exponent_m),
         ("lambda", p.declared_lambda),
@@ -420,7 +414,7 @@ def declared_reports(cfg: SimConfig) -> list:
     return [(name, rep)
             for name, pot in (("potential_V", cfg.potential_V), ("potential_W", cfg.potential_W))
             if not pot.is_zero
-            for rep in potentials.check_declared(pot)]
+            for rep in potentials.check_declared(pot, cfg.dim)]
 
 
 def validate_potentials(cfg: SimConfig):

@@ -18,10 +18,9 @@ import numpy as np
 from scipy import stats
 
 from . import io as gio
-from .config import SimConfig, canonical_text, config_hash
+from .config import SimConfig, canonical_text, config_hash, observation_time_errors
 from .dynamics import (
     batch_noise,
-    coupled_step_batch,
     couple_initial,
     drift,
     apply_scheme,
@@ -31,7 +30,7 @@ from .dynamics import (
     step_batch,
 )
 from .metrics import exp_square_moment, exp_square_moment_bound, moment
-from .potentials import QUADRATIC, check_convexity_at_infinity, with_dim
+from .potentials import QUADRATIC, check_convexity_at_infinity
 from .rng import BrownianSource
 
 
@@ -154,7 +153,7 @@ def coupled_batch(config: SimConfig, threads: int = 1):
 
     def run_chunk(chunk):
         streams = [config.stream_for_run(r) for r in chunk]
-        xa, xb = initial_batch(
+        pair = initial_batch(
             lambda s: couple_initial(
                 config.initial_law.sample(source, s, n, dim),
                 config.initial_law_b.sample(source, s + config.PARTNER_STREAM, n, dim)),
@@ -162,11 +161,11 @@ def coupled_batch(config: SimConfig, threads: int = 1):
         )
 
         def advance(pair, k):
-            return coupled_step_batch(*pair, config.potential_V, config.potential_W,
-                                      config.step_policy, source, streams, k, projected)
+            return step_batch(pair, config.potential_V, config.potential_W,
+                              config.step_policy, source, streams, k, projected)
 
         xi_out = np.empty((len(obs), len(chunk)))
-        for slots, (xa, xb) in observation_schedule(obs, (xa, xb), advance):
+        for slots, (xa, xb) in observation_schedule(obs, pair, advance):
             xi_out[slots] = np.mean(np.sum((xa - xb) ** 2, axis=-1), axis=-1)
         return xi_out
 
@@ -199,7 +198,9 @@ def decay_experiment(config: SimConfig, threads: int = 1) -> DecayResult:
     """Average coupled squared distance xi(t) over runs against the decay
     envelopes implied by the declared degenerate-convexity constants.  The
     exponential rate is fitted on the whole series above 1e-10 xi(0) when
-    alpha = 0, and before xi first reaches 1 otherwise."""
+    alpha = 0, and before xi first reaches 1 otherwise; fit_windows'
+    exp_until is the first observation time the fit leaves out, None when
+    it runs to the end."""
     W = config.potential_W
     if W.declared_A <= 0.0:
         raise ValueError("decay_experiment needs declared (A, alpha) on potential_W")
@@ -217,11 +218,10 @@ def decay_experiment(config: SimConfig, threads: int = 1) -> DecayResult:
 
     tail_window = times >= times[-1] / 10.0
     tail_slope = fit_loglog_slope(times[tail_window], xi[tail_window])
-    if alpha == 0.0:
-        exp_rate = fit_exp_rate(times, xi, floor=xi0 * 1e-10)
-    else:
-        window = times < t1_emp if t1_emp else slice(None)
-        exp_rate = fit_exp_rate(times[window], xi[window])
+    window = times < t1_emp if alpha > 0.0 and t1_emp else np.ones(times.shape, bool)
+    floor = xi0 * 1e-10 if alpha == 0.0 else 0.0
+    exp_rate = fit_exp_rate(times[window], xi[window], floor)
+    left_out = np.nonzero(~window | (xi <= floor))[0]
 
     if alpha > 0 and xi0 > 0:
         bad = xi > polynomial_envelope(times, xi0, A, alpha) + 3.0 * se
@@ -246,7 +246,7 @@ def decay_experiment(config: SimConfig, threads: int = 1) -> DecayResult:
         runs=runs,
         fit_windows={
             "tail_from": float(times[tail_window][0]) if np.any(tail_window) else None,
-            "exp_until": t1_emp,
+            "exp_until": float(times[left_out[0]]) if left_out.size else None,
         },
     )
 
@@ -385,13 +385,19 @@ def chaos_scan(
 
 def uniform_moment_experiment(config: SimConfig, threads: int = 1):
     """Tracks E|Y^1|^2 over the horizon and tests the second half of the
-    series for a zero linear trend at 95%."""
-    times, pos = simulate_batch(config, threads=threads)
-    series = moment(pos, 2, times=list(times))
+    series, t >= t_last / 2, for a zero linear trend at 95%."""
+    times = np.asarray(config.observation_times)
     half = times >= times[-1] / 2.0
+    if half.sum() < 3:
+        raise ValueError(
+            "uniform_moment_experiment needs at least three observation times in the "
+            "second half of the series, t >= t_last / 2, to fit a trend and its standard error"
+        )
+    _, pos = simulate_batch(config, threads=threads)
+    series = moment(pos, 2, times=list(times))
     slope, se = fit_linear_trend(times[half], np.asarray(series.values)[half])
     df = int(half.sum()) - 2
-    crit = float(stats.t.ppf(0.975, df)) if df > 0 else float("inf")
+    crit = float(stats.t.ppf(0.975, df))
     accepted = abs(slope) <= crit * se
     return series, {
         "slope": slope,
@@ -469,7 +475,7 @@ class ConcentrationResult:
     T: float
 
 
-def pipeline_t1_constant(config: SimConfig, probes: int = 512, extent: float = 4.0) -> float:
+def pipeline_t1_constant(config: SimConfig) -> float:
     """Per-particle T_1 constant derived from the fitted convexity-at-
     infinity constants and the exponential square-moment bound (Gaussian-
     integrability route to T_1; the N-scaling of the full system is the
@@ -478,7 +484,7 @@ def pipeline_t1_constant(config: SimConfig, probes: int = 512, extent: float = 4
     if W.declared_lambda > 0.0:
         lam, C = W.declared_lambda, W.declared_C
     else:
-        rep = check_convexity_at_infinity(with_dim(W, config.dim), probes=probes, extent=extent)
+        rep = check_convexity_at_infinity(W, config.dim)
         lam, C = rep.fitted_constants["lambda"], rep.fitted_constants["C"]
     if lam <= 0.0:
         return float("inf")
@@ -504,6 +510,9 @@ def concentration_suite(
     if trials < 200 and f_name != "constant":
         raise ValueError("trials must be >= 200 for a usable tail estimate")
     T = config.horizon if T is None else T
+    errors = observation_time_errors((T,), config.horizon, config.step_policy.dt)
+    if errors:
+        raise ValueError(f"concentration time {T!r}: " + "; ".join(errors))
     cfg = replace(config, observation_times=(T,))
     _, pos = simulate_batch(cfg, trials, threads)
     f = LIPSCHITZ_FUNCTIONS[f_name]

@@ -10,7 +10,7 @@ are labeled as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import qmc
@@ -19,13 +19,8 @@ POWER_LAW = "power_law"
 QUADRATIC = "quadratic"
 UNIFORM_PLUS_BUMP = "uniform_plus_bump"
 ZERO = "zero"
-SAMPLED = "sampled"
 
-_KINDS = (POWER_LAW, QUADRATIC, UNIFORM_PLUS_BUMP, ZERO, SAMPLED)
-
-
-class PotentialDomainError(ValueError):
-    """Raised when a tabulated potential is queried outside its grid."""
+_KINDS = (POWER_LAW, QUADRATIC, UNIFORM_PLUS_BUMP, ZERO)
 
 
 @dataclass(frozen=True)
@@ -52,6 +47,8 @@ class Potential:
             raise ValueError("power_law exponent must be >= 2")
         if self.kind == QUADRATIC and self.params["kappa"] <= 0:
             raise ValueError("quadratic stiffness must be > 0")
+        if self.growth_exponent_m < 0:
+            raise ValueError("m must be >= 0")
 
     @property
     def is_zero(self) -> bool:
@@ -78,8 +75,6 @@ class Potential:
             inside = s < 1.0
             bump = np.where(inside, -(6.0 * a / rho**2) * (1.0 - s) ** 2, 0.0)
             return 2.0 * kappa * x + bump * x
-        if self.kind == SAMPLED:
-            return self._grad_sampled(x)
         raise AssertionError(self.kind)
 
     def mean_grad(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -116,27 +111,8 @@ class Potential:
         uu = np.sum(u * u, axis=-1, keepdims=True)
         return 4.0 * ((uu + trace) * u + 2.0 * u @ S - skew)
 
-    def _grad_sampled(self, x: np.ndarray) -> np.ndarray:
-        # Radial derivative tabulated on a regular grid in r >= 0; symmetry
-        # of W is enforced by construction (gradient is slope(r) * x / r,
-        # an odd function), not trusted from the input.
-        r_max = self.params["r_max"]
-        table = np.asarray(self.params["slopes"], dtype=float)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        if np.any(r > r_max):
-            bad = np.argwhere(np.squeeze(r > r_max, axis=-1))
-            raise PotentialDomainError(
-                f"sampled potential queried at radius > {r_max} "
-                f"(first offending entry index {tuple(bad[0])})"
-            )
-        grid = np.linspace(0.0, r_max, table.size)
-        slope = np.interp(np.squeeze(r, axis=-1), grid, table)[..., None]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(r > 0.0, x / r, 0.0)
-        return slope * unit
-
     def value(self, x: np.ndarray) -> np.ndarray:
-        """Potential value at x (smooth built-in kinds only)."""
+        """Potential value at x."""
         x = np.asarray(x, dtype=float)
         if self.kind == ZERO:
             return np.zeros(x.shape[:-1])
@@ -152,7 +128,7 @@ class Potential:
             s = np.sum(x * x, axis=-1) / rho**2
             bump = np.where(s < 1.0, a * (1.0 - s) ** 3, 0.0)
             return kappa * np.sum(x * x, axis=-1) + bump
-        raise NotImplementedError(f"no closed-form value for kind {self.kind!r}")
+        raise AssertionError(self.kind)
 
 
 def power_law(p: float, **declared) -> Potential:
@@ -177,11 +153,6 @@ def uniform_plus_bump(kappa: float, amplitude: float, radius: float, **declared)
         {"kappa": float(kappa), "amplitude": float(amplitude), "radius": float(radius)},
         **declared,
     )
-
-
-def sampled(slopes, r_max: float, **declared) -> Potential:
-    """Radial derivative W'(r) tabulated on a regular grid over [0, r_max]."""
-    return Potential(SAMPLED, {"slopes": tuple(float(s) for s in slopes), "r_max": float(r_max)}, **declared)
 
 
 @dataclass(frozen=True)
@@ -221,21 +192,32 @@ def default_tolerance(bound_scale: float = 0.0) -> float:
     return 1e-9 * (1.0 + abs(bound_scale))
 
 
-def _probe_pairs(dim: int, probes: int, extent: float, probe_seed: int):
+# Probe set of every checker: PROBES Sobol points (seed 0) in the box
+# [-EXTENT, EXTENT]^(2 dim), plus near-diagonal pairs; the degenerate-
+# convexity bound is probed at each eps of EPS_GRID.  The convexity-at-
+# infinity fit uses FIT_PROBES points, and its fitted lambda depends on
+# that count.
+PROBES = 256
+FIT_PROBES = 512
+EXTENT = 4.0
+EPS_GRID = np.array([0.05, 0.1, 0.25, 0.5, 0.75, 0.95])
+
+
+def _probe_pairs(dim: int, probes: int = PROBES):
     """Low-discrepancy (x, y) pairs in the box, augmented with
     near-diagonal pairs y = x + delta e_k where degenerate convexity
-    concentrates.  Deterministic given probe_seed."""
-    eng = qmc.Sobol(d=2 * dim, scramble=True, seed=probe_seed)
-    pts = eng.random(probes) * (2.0 * extent) - extent
+    concentrates.  Deterministic."""
+    eng = qmc.Sobol(d=2 * dim, scramble=True, seed=0)
+    pts = eng.random(probes) * (2.0 * EXTENT) - EXTENT
     x = pts[:, :dim]
     y = pts[:, dim:]
     extra_x = []
     extra_y = []
-    base = x[: max(1, probes // 4)]
+    base = x[: probes // 4]
     for delta in (1e-3, 1e-2, 1e-1):
         for k in range(dim):
             e = np.zeros(dim)
-            e[k] = delta * extent
+            e[k] = delta * EXTENT
             extra_x.append(base)
             extra_y.append(base + e)
     x = np.concatenate([x] + extra_x, axis=0)
@@ -253,67 +235,48 @@ def _pair_products(potential: Potential, x: np.ndarray, y: np.ndarray):
 
 
 def check_condition_C(
-    potential: Potential,
-    A: float,
-    alpha: float,
-    probes: int = 1024,
-    extent: float = 4.0,
-    eps_grid=(0.05, 0.1, 0.25, 0.5, 0.75, 0.95),
-    probe_seed: int = 0,
+    potential: Potential, A: float, alpha: float, dim: int = 1
 ) -> ConditionReport:
-    """Probe (x-y).(grad W(x)-grad W(y)) >= A eps^alpha (|x-y|^2 - eps^2)."""
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    if extent <= 0:
-        raise ValueError("extent must be > 0")
-    eps = np.asarray(eps_grid, dtype=float)
-    if np.any((eps <= 0) | (eps >= 1)):
-        raise ValueError("every eps must lie in (0, 1)")
-    x, y = _probe_pairs(_dim_of(potential), probes, extent, probe_seed)
+    """Probe (x-y).(grad W(x)-grad W(y)) >= A eps^alpha (|x-y|^2 - eps^2)
+    on pairs in R^dim."""
+    x, y = _probe_pairs(dim)
     sq, dot = _pair_products(potential, x, y)
     # bound[e, pair] = A eps^alpha (|x-y|^2 - eps^2)
-    bound = A * eps[:, None] ** alpha * (sq[None, :] - eps[:, None] ** 2)
+    bound = A * EPS_GRID[:, None] ** alpha * (sq[None, :] - EPS_GRID[:, None] ** 2)
     violation = bound - dot[None, :]
     return ConditionReport(
         condition_name="C_A_alpha",
         fitted_constants={"A": float(A), "alpha": float(alpha)},
         worst_violation=float(np.max(violation)),
         probe_count=x.shape[0],
-        probe_extent=float(extent),
+        probe_extent=EXTENT,
         tolerance=default_tolerance(float(np.max(np.abs(bound)))),
     )
 
 
-def check_convexity_at_infinity(
-    potential: Potential,
-    probes: int = 1024,
-    extent: float = 4.0,
-    probe_seed: int = 0,
-) -> ConditionReport:
+def check_convexity_at_infinity(potential: Potential, dim: int = 1) -> ConditionReport:
     """Fit (lambda, C) with (x-y).(grad W(x)-grad W(y)) >= lambda|x-y|^2 - C
-    on the probe set.
+    on FIT_PROBES pairs in R^dim.
 
     For each candidate lambda (0 and 121 log-spaced values in [1e-3, 1e3]),
     C(lambda) is the smallest admissible offset.  The reported lambda is the
-    largest candidate whose offset stays below 0.05 lambda extent^2, which
+    largest candidate whose offset stays below 0.05 lambda EXTENT^2, which
     keeps the fit empirically meaningful: the zero potential gets
     lambda = 0 rather than a huge C.
     """
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    x, y = _probe_pairs(_dim_of(potential), probes, extent, probe_seed)
+    x, y = _probe_pairs(dim, FIT_PROBES)
     sq, dot = _pair_products(potential, x, y)
     best_lambda = 0.0
     best_C = max(0.0, float(np.max(-dot)))
     for lam in np.geomspace(1e-3, 1e3, 121):
         C_lam = max(0.0, float(np.max(lam * sq - dot)))
-        if C_lam <= 0.05 * lam * extent**2:
+        if C_lam <= 0.05 * lam * EXTENT**2:
             best_lambda = lam
             best_C = C_lam
-    return _a4_report(sq, dot, best_lambda, best_C, extent)
+    return _a4_report(sq, dot, best_lambda, best_C)
 
 
-def _a4_report(sq, dot, lam, C, extent) -> ConditionReport:
+def _a4_report(sq, dot, lam, C) -> ConditionReport:
     """A4 report for (lambda, C) from the probe products of _pair_products."""
     bound = lam * sq - C
     return ConditionReport(
@@ -321,20 +284,15 @@ def _a4_report(sq, dot, lam, C, extent) -> ConditionReport:
         fitted_constants={"lambda": float(lam), "C": float(C)},
         worst_violation=float(np.max(bound - dot)),
         probe_count=sq.shape[0],
-        probe_extent=float(extent),
+        probe_extent=EXTENT,
         tolerance=default_tolerance(float(np.max(np.abs(bound)))),
     )
 
 
-def check_polynomial_growth(
-    potential: Potential,
-    m: int,
-    probes: int = 1024,
-    extent: float = 4.0,
-    probe_seed: int = 0,
-) -> ConditionReport:
+def check_polynomial_growth(potential: Potential, m: int, dim: int = 1) -> ConditionReport:
     """Fit the smallest C with
-    |grad W(x) - grad W(y)| <= C (|x-y| ^ 1)(1 + |x|^m + |y|^m).
+    |grad W(x) - grad W(y)| <= C (|x-y| ^ 1)(1 + |x|^m + |y|^m)
+    on pairs in R^dim.
 
     A declared m that is too small shows up as the fitted constant growing
     with the probe extent; we detect it by comparing the fit at full extent
@@ -342,7 +300,7 @@ def check_polynomial_growth(
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    x, y = _probe_pairs(_dim_of(potential), probes, extent, probe_seed)
+    x, y = _probe_pairs(dim)
     gx = potential.grad(x)
     gy = potential.grad(y)
     num = np.linalg.norm(gx - gy, axis=-1)
@@ -353,8 +311,8 @@ def check_polynomial_growth(
     keep = dist > 1e-12
     ratio = num[keep] / den[keep]
     c_full = float(np.max(ratio)) if ratio.size else 0.0
-    inner = keep & (np.linalg.norm(x, axis=-1) <= extent / 2) & (
-        np.linalg.norm(y, axis=-1) <= extent / 2
+    inner = keep & (np.linalg.norm(x, axis=-1) <= EXTENT / 2) & (
+        np.linalg.norm(y, axis=-1) <= EXTENT / 2
     )
     ratio_inner = num[inner] / den[inner]
     c_inner = float(np.max(ratio_inner)) if ratio_inner.size else c_full
@@ -363,43 +321,22 @@ def check_polynomial_growth(
         fitted_constants={"C_hat": c_full, "C_hat_inner": c_inner, "m": float(m)},
         worst_violation=c_full - 1.25 * c_inner,
         probe_count=x.shape[0],
-        probe_extent=float(extent),
+        probe_extent=EXTENT,
         tolerance=default_tolerance(c_full),
     )
 
 
-def check_declared(potential: Potential, probes: int = 256, extent: float = 4.0, probe_seed: int = 0):
-    """Reports for whichever structural constants the potential declares."""
+def check_declared(potential: Potential, dim: int = 1):
+    """Reports for whichever structural constants the potential declares,
+    probed in R^dim."""
     reports = []
     if potential.declared_A > 0.0:
         reports.append(
-            check_condition_C(
-                potential, potential.declared_A, potential.declared_alpha,
-                probes=probes, extent=extent, probe_seed=probe_seed,
-            )
+            check_condition_C(potential, potential.declared_A, potential.declared_alpha, dim)
         )
     if potential.declared_lambda > 0.0:
-        x, y = _probe_pairs(_dim_of(potential), probes, extent, probe_seed)
-        sq, dot = _pair_products(potential, x, y)
-        reports.append(
-            _a4_report(sq, dot, potential.declared_lambda, potential.declared_C, extent)
-        )
-    if potential.growth_exponent_m >= 0 and potential.kind != ZERO:
-        reports.append(
-            check_polynomial_growth(
-                potential, potential.growth_exponent_m,
-                probes=probes, extent=extent, probe_seed=probe_seed,
-            )
-        )
+        sq, dot = _pair_products(potential, *_probe_pairs(dim))
+        reports.append(_a4_report(sq, dot, potential.declared_lambda, potential.declared_C))
+    if potential.kind != ZERO:
+        reports.append(check_polynomial_growth(potential, potential.growth_exponent_m, dim))
     return reports
-
-
-def _dim_of(potential: Potential, default: int = 1) -> int:
-    return int(potential.params.get("dim", default))
-
-
-def with_dim(potential: Potential, dim: int) -> Potential:
-    """Tag the probe dimension used by the condition checkers."""
-    params = dict(potential.params)
-    params["dim"] = int(dim)
-    return replace(potential, params=params)

@@ -206,6 +206,13 @@ def test_potential_parameter_errors_reported():
         make_config(potential_W={"kind": "power_law", "p": 1.0})
 
 
+def test_negative_growth_exponent_joins_the_all_errors_report():
+    # a negative m would otherwise load and silently skip the A3 check
+    with pytest.raises(ConfigError) as exc:
+        make_config(potential_W={"m": -1}, dynamics={"n": 1})
+    assert exc.value.errors == ["[potential_W] m must be >= 0", "[dynamics] n must be >= 2"]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -257,6 +264,14 @@ def test_cli_check_potential_bound_violation(tmp_path, capsys):
     assert code == EXIT_BOUND
     assert [(r["condition_name"], r["satisfied"]) for r in reports] == [
         ("C_A_alpha", False), ("A3", True)]
+
+
+def test_cli_sampled_potential_kind_is_unknown(tmp_path, capsys):
+    path = write_cfg(tmp_path, potential_W={"kind": "sampled", "p": None, "m": None,
+                                            "A": None, "alpha": None})
+    assert run_cli(["check-potential", "--config", path, "--seed", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "config error: [potential_W] unknown potential kind 'sampled'\n"
 
 
 def test_cli_config_errors_exit_usage(tmp_path, capsys):
@@ -485,6 +500,36 @@ def test_cli_concentration_fails_against_an_over_declared_lambda(tmp_path, capsy
     assert res["c_pipeline"] < 1.0 < res["c_fitted"]
     assert res["c_fitted_over_pipeline"] == pytest.approx(res["c_fitted"] / res["c_pipeline"])
     assert summary["arguments"] == {"function": "coordinate", "trials": 200, "time": None}
+
+
+@pytest.mark.parametrize("horizon, time", [
+    (5.0, "0.005"),  # between grid times: the t = 0 state would be reported
+    (5.0, "7.3"),  # past the horizon
+    (5.005, None),  # the default T = horizon is off the grid
+])
+def test_cli_concentration_time_is_an_observation_time(tmp_path, capsys, horizon, time):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, dynamics={"mode": "raw", "dt": 0.01},
+                     experiment={"horizon": horizon, "obs_times": "5.0", "runs": 1},
+                     output={"dir": str(out)})
+    argv = ["concentration", "--config", path, "--seed", "1"]
+    code = run_cli(argv + (["--time", time] if time else []))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: concentration time ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_uniform_moments_needs_three_times_in_the_second_half(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, experiment={"obs_times": "0.0,0.5,1.0"},
+                     output={"dir": str(out)})
+    assert run_cli(["uniform-moments", "--config", path, "--seed", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: uniform_moment_experiment needs at least three "
+                          "observation times in the second half")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_report_aggregates_flags(tmp_path, capsys):

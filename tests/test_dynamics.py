@@ -12,7 +12,6 @@ from gmsim.dynamics import (
     apply_scheme,
     batch_noise,
     couple_initial,
-    coupled_step_batch,
     drift,
     noise_block,
     observation_schedule,
@@ -214,9 +213,9 @@ def test_projected_quadratic_difference_contracts_exactly():
     yb = rng.normal(size=(6, 1))
     yb -= yb.mean(axis=0)
     dt = 0.01
-    xa, xb = coupled_step_batch(
-        ya[None], yb[None], zero(), quadratic(1.0), StepPolicy(scheme="euler", dt=dt),
-        BrownianSource(1), [0], 0, projected=True,
+    xa, xb = step_batch(
+        np.stack((ya[None], yb[None])), zero(), quadratic(1.0),
+        StepPolicy(scheme="euler", dt=dt), BrownianSource(1), [0], 0, projected=True,
     )
     np.testing.assert_allclose(xa[0] - xb[0], (1 - 2 * dt) * (ya - yb), atol=1e-14)
 
@@ -251,7 +250,7 @@ def test_run_in_batch_is_bit_identical_to_run_alone():
         s = [streams[r] for r in rows]
         for k in range(5):
             x = step_batch(x, V, W, policy, src, s, k, projected=True)
-            xa, xb = coupled_step_batch(xa, xb, V, W, policy, src, s, k, projected=True)
+            xa, xb = step_batch(np.stack((xa, xb)), V, W, policy, src, s, k, projected=True)
         return x, xa, xb
 
     batch = run([0, 1, 2])
@@ -266,8 +265,8 @@ def test_coupled_difference_is_noise_free():
     xa = rng.normal(size=(1, 5, 1))
     xb = rng.normal(size=(1, 5, 1))
     policy = StepPolicy(scheme="euler", dt=0.02)
-    na, nb = coupled_step_batch(xa, xb, zero(), power_law(4.0), policy,
-                                BrownianSource(7), [0], 0)
+    na, nb = step_batch(np.stack((xa, xb)), zero(), power_law(4.0), policy,
+                        BrownianSource(7), [0], 0)
     ba = drift(xa, zero(), power_law(4.0))
     bb = drift(xb, zero(), power_law(4.0))
     np.testing.assert_allclose(na - nb, (xa - xb) + (ba - bb) * 0.02, atol=1e-15)

@@ -170,6 +170,24 @@ def test_decay_experiment_requires_declared_constants():
         decay_experiment(cfg)
 
 
+def test_decay_exp_until_is_the_first_time_the_fit_leaves_out():
+    # alpha = 0: no point falls below 1e-10 xi(0), so the fit runs to the end
+    res = uniform_convex_decay(quadratic_decay_config())
+    assert res.xi[-1] > 1e-10 * res.xi[0]
+    assert res.fit_windows["exp_until"] is None
+    # alpha > 0: the fit stops where xi first reaches 1
+    cfg = make_config(
+        dynamics={"n": 16, "scheme": "tamed", "dt": 0.005},
+        experiment={"horizon": 2.0, "obs_times": None, "obs_stride": 0.25,
+                    "obs_count": 9, "runs": 8},
+        initial_law={"kind": "gaussian", "sigma": 1.0},
+        initial_law_b={"kind": "gaussian", "sigma": 3.0},
+    )
+    res = decay_experiment(cfg)
+    assert res.xi[0] > 1.0 and res.t1_empirical > 0.0
+    assert res.fit_windows["exp_until"] == res.t1_empirical
+
+
 def test_decay_experiment_quartic_envelopes():
     cfg = make_config(
         dynamics={"n": 16, "scheme": "tamed", "dt": 0.005},
@@ -343,10 +361,8 @@ def test_pipeline_t1_constant_from_declared():
 
 
 def test_pipeline_t1_constant_infinite_without_convexity():
-    cfg = make_config(potential_W={"kind": "sampled", "slopes": "0.0,0.0",
-                                   "r_max": 100.0, "p": None, "m": 0,
-                                   "A": None, "alpha": None})
-    assert pipeline_t1_constant(cfg, probes=64, extent=4.0) == float("inf")
+    cfg = make_config(potential_W={"kind": "zero"})
+    assert pipeline_t1_constant(cfg) == float("inf")
 
 
 def test_concentration_constant_function_has_zero_tail():
