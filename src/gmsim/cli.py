@@ -33,15 +33,14 @@ def _build_parser():
     p = argparse.ArgumentParser(prog="gmsim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=True):
-        sp.add_argument("--config", required=config_required, help="config file path")
+    def common(sp):
+        sp.add_argument("--config", required=True, help="config file path")
         sp.add_argument("--seed", required=True, type=int, help="master seed (mandatory)")
         sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--out", default=None, help="output directory override")
-        sp.add_argument("--unchecked", action="store_true",
-                        help="skip the declared-condition checkers")
 
-    common(sub.add_parser("check-potential", help="probe the declared conditions"))
+    sp = sub.add_parser("check-potential", help="probe the declared conditions")
+    sp.add_argument("--config", required=True, help="config file path")
     sp = sub.add_parser("simulate", help="run the particle system")
     common(sp)
     sp.add_argument("--positions", action="store_true", help="include positions in JSONL")
@@ -61,29 +60,28 @@ def _build_parser():
     common(sub.add_parser("exp-square-moment",
                           help="exponential square moment against its closed form"))
     sp = sub.add_parser("report", help="summarize experiment outputs")
-    common(sp, config_required=False)
+    sp.add_argument("--out", default="out", help="directory of experiment outputs")
     return p
 
 
-def _read_config(args) -> SimConfig:
-    with open(args.config) as fh:
-        cfg = parse_config(fh.read())
-    cfg = replace(cfg, seed=int(args.seed))
-    if args.out:
-        cfg = replace(cfg, output_dir=args.out)
-    return cfg
+def _read_config(path: str) -> SimConfig:
+    with open(path) as fh:
+        return parse_config(fh.read())
 
 
 def _load_config(args) -> SimConfig:
-    cfg = _read_config(args)
-    if not args.unchecked:
-        validate_potentials(cfg)
+    """The config with the run's seed and output directory, its declared
+    conditions checked."""
+    cfg = replace(_read_config(args.config), seed=int(args.seed))
+    if args.out:
+        cfg = replace(cfg, output_dir=args.out)
+    validate_potentials(cfg)
     return cfg
 
 
 def _cmd_check_potential(args) -> int:
     """Print every declared condition's report; exit 2 when one fails."""
-    reports = declared_reports(_read_config(args))
+    reports = declared_reports(_read_config(args.config))
     print(json.dumps([{"potential": name, **rep.to_json()} for name, rep in reports], indent=2))
     return EXIT_OK if all(rep.satisfied for _, rep in reports) else EXIT_BOUND
 
@@ -202,12 +200,11 @@ def _cmd_exp_square_moment(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    out_dir = args.out or "out"
     ok = True
-    for name in sorted(os.listdir(out_dir)):
+    for name in sorted(os.listdir(args.out)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(out_dir, name)) as fh:
+        with open(os.path.join(args.out, name)) as fh:
             summary = json.load(fh)
         flags = summary.get("flags", {})
         ok = ok and all(flags.values())

@@ -27,10 +27,11 @@ from .dynamics import (
     initial_batch,
     observation_schedule,
     observation_steps,
+    project,
     step_batch,
 )
-from .metrics import exp_square_moment, exp_square_moment_bound, moment
-from .potentials import QUADRATIC, check_convexity_at_infinity
+from .metrics import _mc_mean, exp_square_moment, exp_square_moment_bound, moment
+from .potentials import QUADRATIC
 from .rng import BrownianSource
 
 
@@ -208,8 +209,7 @@ def decay_experiment(config: SimConfig, threads: int = 1) -> DecayResult:
         raise ValueError("decay_experiment needs a second initial law")
     A, alpha, runs = W.declared_A, W.declared_alpha, config.runs
     times, xi_runs = coupled_batch(config, threads)
-    xi = xi_runs.mean(axis=1)
-    se = xi_runs.std(axis=1, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros_like(xi)
+    xi, se = _mc_mean(xi_runs.T)
     xi0 = float(xi[0])
 
     defect = float(np.max(np.diff(xi))) if xi.size > 1 else 0.0
@@ -282,11 +282,13 @@ def _chaos_walk(config, source, chunk, N_values, M_reference, obs):
     each projected N-system's tagged particle against the proxy fed by the
     auxiliary ensemble of M_reference particles, then of the largest
     N-system's against the proxy fed by the half-size ensemble.  One walk
-    advances them all, so memory does not grow with the horizon.  A proxy
-    starts at row 0 of the run's unprojected initial draw and steps on
-    particle 0's unprojected increments, prefixes of the run's stream, so
-    one proxy per ensemble serves every N; its drift, the convolution of
-    grad W with u_t, reads its ensemble at the start of the step."""
+    advances them all, so memory does not grow with the horizon.  Draws are
+    prefix-stable, so the walk draws the initial state and each step's
+    increments once, for the largest N, and the n-system takes their first
+    n rows.  A proxy starts at row 0 of the unprojected initial draw and
+    steps on row 0 of the unprojected increments, so one proxy per ensemble
+    serves every N; its drift, the convolution of grad W with u_t, reads its
+    ensemble at the start of the step."""
     V, W, policy, dim = config.potential_V, config.potential_W, config.step_policy, config.dim
     streams = [config.stream_for_run(r) for r in chunk]
     aux_streams = [[config.stream_for_run(r, role) for r in chunk]
@@ -301,15 +303,17 @@ def _chaos_walk(config, source, chunk, N_values, M_reference, obs):
         bx = [-W.mean_grad(xbar, aux) for xbar, aux in zip(proxies, ensembles)]
         ensembles = [step_batch(aux, V, W, policy, source, ss, k, projected=True)
                      for aux, ss in zip(ensembles, aux_streams)]
-        xi = [batch_noise(source, streams, k, n, dim) for n in N_values]
-        systems = [apply_scheme(y, drift(y, V, W), x, policy.dt, policy.scheme, projected=True)
-                   for y, x in zip(systems, xi)]
-        proxies = [apply_scheme(xbar, b, xi[-1][:, :1, :], policy.dt, policy.scheme)
+        xi = batch_noise(source, streams, k, N_values[-1], dim)
+        systems = [apply_scheme(y, drift(y, V, W), xi[:, :n], policy.dt, policy.scheme,
+                                projected=True)
+                   for y, n in zip(systems, N_values)]
+        proxies = [apply_scheme(xbar, b, xi[:, :1], policy.dt, policy.scheme)
                    for xbar, b in zip(proxies, bx)]
         return ensembles, systems, proxies
 
     ensembles = [draw(m, ss) for m, ss in zip((M_reference, M_reference // 2), aux_streams)]
-    state = (ensembles, [draw(n, streams) for n in N_values], [draw(1, streams, False)] * 2)
+    x0 = draw(N_values[-1], streams, projected=False)
+    state = (ensembles, [project(x0[:, :n]) for n in N_values], [x0[:, :1]] * 2)
     err = np.empty((len(N_values) + 1, len(obs), len(chunk)))
     for slots, (_, systems, (xbar, xbar_half)) in observation_schedule(obs, state, advance):
         pairs = [(y, xbar) for y in systems] + [(systems[-1], xbar_half)]
@@ -353,10 +357,10 @@ def chaos_scan(
     err = np.concatenate(_map_chunks(run_chunk, _chunks(runs_per_N, threads), threads), axis=-1)
     errors, stderrs, worst_times = [], [], []
     for err_runs in err[:-1]:
-        mean_t = err_runs.mean(axis=1)
+        mean_t, se_t = _mc_mean(err_runs.T)
         worst = int(np.argmax(mean_t))
         errors.append(float(mean_t[worst]))
-        stderrs.append(float(err_runs[worst].std(ddof=1) / np.sqrt(err_runs.shape[1])))
+        stderrs.append(float(se_t[worst]))
         worst_times.append(float(config.observation_times[worst]))
 
     err_half = float(err[-1].mean(axis=1).max())
@@ -438,8 +442,7 @@ def exp_square_moment_experiment(config: SimConfig, delta: float = 0.1, threads:
     times, pos_x = simulate_batch(config, threads=threads)
     _, pos_y = simulate_batch(replace(config, seed=config.seed + 1), threads=threads)
     sq = np.sum((pos_x - pos_y) ** 2, axis=-1).reshape(len(times), -1)
-    series = exp_square_moment(sq, delta, times=list(times), lambda_hat=lam,
-                               diffusion_bound_A=DIFFUSION_BOUND_A)
+    series = exp_square_moment(sq, delta, times=list(times))
     kappa = V.params["kappa"]
     spread = (1.0 - np.exp(-4.0 * kappa * times)) / kappa
     return series, {
@@ -452,10 +455,8 @@ def exp_square_moment_experiment(config: SimConfig, delta: float = 0.1, threads:
 # concentration / deviation suite
 
 LIPSCHITZ_FUNCTIONS = {
-    # Each has Lipschitz constant <= 1; the unbounded ones are clamped at 10.
+    # Each has Lipschitz constant <= 1; the coordinate is clamped at 10.
     "coordinate": lambda x: np.clip(x[..., 0], -10.0, 10.0),
-    "norm": lambda x: np.minimum(np.linalg.norm(x, axis=-1), 10.0),
-    "sine": lambda x: np.sin(x[..., 0]),
     "constant": lambda x: np.zeros(x.shape[:-1]),
 }
 
@@ -476,18 +477,15 @@ class ConcentrationResult:
 
 
 def pipeline_t1_constant(config: SimConfig) -> float:
-    """Per-particle T_1 constant derived from the fitted convexity-at-
-    infinity constants and the exponential square-moment bound (Gaussian-
-    integrability route to T_1; the N-scaling of the full system is the
-    extra factor N carried by the caller)."""
+    """Per-particle T_1 constant derived from the declared convexity-at-
+    infinity constants (lambda, C) of potential_W and the exponential
+    square-moment bound (Gaussian-integrability route to T_1; the N-scaling
+    of the full system is the extra factor N carried by the caller)."""
     W = config.potential_W
-    if W.declared_lambda > 0.0:
-        lam, C = W.declared_lambda, W.declared_C
-    else:
-        rep = check_convexity_at_infinity(W, config.dim)
-        lam, C = rep.fitted_constants["lambda"], rep.fitted_constants["C"]
+    lam, C = W.declared_lambda, W.declared_C
     if lam <= 0.0:
-        return float("inf")
+        raise ValueError("the concentration bound needs a declared lambda > 0 on potential_W "
+                         "(convexity at infinity, with its C)")
     delta = lam / (4.0 * DIFFUSION_BOUND_A)
     bound = exp_square_moment_bound(delta, lam, C, DIFFUSION_BOUND_A, config.dim)
     return 2.0 * (1.0 + math.log(bound)) / delta
@@ -504,7 +502,8 @@ def concentration_suite(
     observable against the a-priori Gaussian bound exp(-N r^2 / c_pipeline)
     of the T1 route (Djellout, Guillin and Wu 2004).  c_fitted, the
     smallest c under which every reliable tail point holds, is descriptive
-    only: it holds on its own data by construction."""
+    only: it holds on its own data by construction.  c_pipeline needs a
+    declared lambda > 0 on potential_W; without one nothing is simulated."""
     if f_name not in LIPSCHITZ_FUNCTIONS:
         raise ValueError(f"unknown test function {f_name!r}")
     if trials < 200 and f_name != "constant":
@@ -513,6 +512,7 @@ def concentration_suite(
     errors = observation_time_errors((T,), config.horizon, config.step_policy.dt)
     if errors:
         raise ValueError(f"concentration time {T!r}: " + "; ".join(errors))
+    c_pipeline = pipeline_t1_constant(config)
     cfg = replace(config, observation_times=(T,))
     _, pos = simulate_batch(cfg, trials, threads)
     f = LIPSCHITZ_FUNCTIONS[f_name]
@@ -531,7 +531,6 @@ def concentration_suite(
         c_fitted = float(np.max(cfg.n * r_grid[usable] ** 2 / (-np.log(tail[usable]))))
     else:
         c_fitted = float("nan")
-    c_pipeline = pipeline_t1_constant(config)
     return ConcentrationResult(
         n=cfg.n,
         r_grid=r_grid,

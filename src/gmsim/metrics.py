@@ -110,33 +110,21 @@ class ExpSquareMomentSeries:
 
 
 def exp_square_moment(
-    sq_distances: np.ndarray,
-    delta: float,
-    times=None,
-    lambda_hat: float | None = None,
-    diffusion_bound_A: float | None = None,
+    sq_distances: np.ndarray, delta: float, times=None
 ) -> ExpSquareMomentSeries:
     """MC estimate of E exp(delta |X_t - Y_t|^2) from squared distances of
     independent coupled copies, shape (n_times, runs).
 
-    Refuses deltas outside the contraction regime delta < lambda / (2 A)
-    when the fitted constants are supplied; the bound being estimated only
-    holds there.  (This A is the Hilbert-Schmidt diffusion bound, not the
-    degenerate-convexity constant.)  A time is flagged heavy-tailed when its
-    largest sample carries more than half of the sum.
+    The bound it is compared with holds only for delta < lambda / (2 A),
+    A the Hilbert-Schmidt diffusion bound; exp_square_moment_bound refuses
+    other deltas.  A time is flagged heavy-tailed when its largest sample
+    carries more than half of the sum.
     """
-    if lambda_hat is not None and diffusion_bound_A is not None:
-        if delta >= lambda_hat / (2.0 * diffusion_bound_A):
-            raise ValueError(
-                f"delta={delta} outside the bound regime: need delta < "
-                f"lambda/(2 A) = {lambda_hat / (2.0 * diffusion_bound_A):.6g}"
-            )
     z = np.asarray(sq_distances, dtype=float)
     if z.ndim == 1:
         z = z[None]
     w = np.exp(delta * z)
-    vals = w.mean(axis=1)
-    ses = w.std(axis=1, ddof=1) / np.sqrt(w.shape[1]) if w.shape[1] > 1 else np.zeros_like(vals)
+    vals, ses = _mc_mean(w.T)
     flags = (w.max(axis=1) / np.maximum(w.sum(axis=1), 1e-300)) > 0.5
     if times is None:
         times = list(range(z.shape[0]))

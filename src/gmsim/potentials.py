@@ -194,26 +194,23 @@ def default_tolerance(bound_scale: float = 0.0) -> float:
 
 # Probe set of every checker: PROBES Sobol points (seed 0) in the box
 # [-EXTENT, EXTENT]^(2 dim), plus near-diagonal pairs; the degenerate-
-# convexity bound is probed at each eps of EPS_GRID.  The convexity-at-
-# infinity fit uses FIT_PROBES points, and its fitted lambda depends on
-# that count.
+# convexity bound is probed at each eps of EPS_GRID.
 PROBES = 256
-FIT_PROBES = 512
 EXTENT = 4.0
 EPS_GRID = np.array([0.05, 0.1, 0.25, 0.5, 0.75, 0.95])
 
 
-def _probe_pairs(dim: int, probes: int = PROBES):
+def _probe_pairs(dim: int):
     """Low-discrepancy (x, y) pairs in the box, augmented with
     near-diagonal pairs y = x + delta e_k where degenerate convexity
     concentrates.  Deterministic."""
     eng = qmc.Sobol(d=2 * dim, scramble=True, seed=0)
-    pts = eng.random(probes) * (2.0 * EXTENT) - EXTENT
+    pts = eng.random(PROBES) * (2.0 * EXTENT) - EXTENT
     x = pts[:, :dim]
     y = pts[:, dim:]
     extra_x = []
     extra_y = []
-    base = x[: probes // 4]
+    base = x[: PROBES // 4]
     for delta in (1e-3, 1e-2, 1e-1):
         for k in range(dim):
             e = np.zeros(dim)
@@ -254,36 +251,19 @@ def check_condition_C(
     )
 
 
-def check_convexity_at_infinity(potential: Potential, dim: int = 1) -> ConditionReport:
-    """Fit (lambda, C) with (x-y).(grad W(x)-grad W(y)) >= lambda|x-y|^2 - C
-    on FIT_PROBES pairs in R^dim.
-
-    For each candidate lambda (0 and 121 log-spaced values in [1e-3, 1e3]),
-    C(lambda) is the smallest admissible offset.  The reported lambda is the
-    largest candidate whose offset stays below 0.05 lambda EXTENT^2, which
-    keeps the fit empirically meaningful: the zero potential gets
-    lambda = 0 rather than a huge C.
-    """
-    x, y = _probe_pairs(dim, FIT_PROBES)
+def check_convexity_at_infinity(
+    potential: Potential, lam: float, C: float, dim: int = 1
+) -> ConditionReport:
+    """Probe (x-y).(grad W(x)-grad W(y)) >= lambda |x-y|^2 - C on pairs in
+    R^dim."""
+    x, y = _probe_pairs(dim)
     sq, dot = _pair_products(potential, x, y)
-    best_lambda = 0.0
-    best_C = max(0.0, float(np.max(-dot)))
-    for lam in np.geomspace(1e-3, 1e3, 121):
-        C_lam = max(0.0, float(np.max(lam * sq - dot)))
-        if C_lam <= 0.05 * lam * EXTENT**2:
-            best_lambda = lam
-            best_C = C_lam
-    return _a4_report(sq, dot, best_lambda, best_C)
-
-
-def _a4_report(sq, dot, lam, C) -> ConditionReport:
-    """A4 report for (lambda, C) from the probe products of _pair_products."""
     bound = lam * sq - C
     return ConditionReport(
         condition_name="A4_conv_at_infinity",
         fitted_constants={"lambda": float(lam), "C": float(C)},
         worst_violation=float(np.max(bound - dot)),
-        probe_count=sq.shape[0],
+        probe_count=x.shape[0],
         probe_extent=EXTENT,
         tolerance=default_tolerance(float(np.max(np.abs(bound)))),
     )
@@ -335,8 +315,8 @@ def check_declared(potential: Potential, dim: int = 1):
             check_condition_C(potential, potential.declared_A, potential.declared_alpha, dim)
         )
     if potential.declared_lambda > 0.0:
-        sq, dot = _pair_products(potential, *_probe_pairs(dim))
-        reports.append(_a4_report(sq, dot, potential.declared_lambda, potential.declared_C))
+        reports.append(check_convexity_at_infinity(
+            potential, potential.declared_lambda, potential.declared_C, dim))
     if potential.kind != ZERO:
         reports.append(check_polynomial_growth(potential, potential.growth_exponent_m, dim))
     return reports

@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -247,7 +248,7 @@ def test_cli_check_potential_json(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(potentials, "check_condition_C", counted)
     path = write_cfg(tmp_path)
-    assert run_cli(["check-potential", "--config", path, "--seed", "3"]) == EXIT_OK
+    assert run_cli(["check-potential", "--config", path]) == EXIT_OK
     reports = json.loads(capsys.readouterr().out)
     assert {r["condition_name"] for r in reports} == {"C_A_alpha", "A3"}
     assert all(r["satisfied"] for r in reports)
@@ -259,7 +260,7 @@ def test_cli_check_potential_bound_violation(tmp_path, capsys):
     path = write_cfg(tmp_path, potential_W={"kind": "quadratic", "kappa": 1.0,
                                             "A": 10.0, "alpha": 0.0, "p": None,
                                             "m": 1})
-    code = run_cli(["check-potential", "--config", path, "--seed", "3"])
+    code = run_cli(["check-potential", "--config", path])
     reports = json.loads(capsys.readouterr().out)
     assert code == EXIT_BOUND
     assert [(r["condition_name"], r["satisfied"]) for r in reports] == [
@@ -269,7 +270,7 @@ def test_cli_check_potential_bound_violation(tmp_path, capsys):
 def test_cli_sampled_potential_kind_is_unknown(tmp_path, capsys):
     path = write_cfg(tmp_path, potential_W={"kind": "sampled", "p": None, "m": None,
                                             "A": None, "alpha": None})
-    assert run_cli(["check-potential", "--config", path, "--seed", "1"]) == EXIT_USAGE
+    assert run_cli(["check-potential", "--config", path]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == "config error: [potential_W] unknown potential kind 'sampled'\n"
 
@@ -398,7 +399,7 @@ def test_cli_uniform_and_exp_square_moments_reach_report(tmp_path, capsys):
     for p in paths:
         assert load_summary(p)["arguments"] == {}
         assert os.path.exists(p[: -len(".json")] + ".csv")
-    run_cli(["report", "--seed", "0", "--out", str(out)])
+    run_cli(["report", "--out", str(out)])
     report = capsys.readouterr().out
     assert "uniform-moments [" in report and "zero_trend=pass" in report
     assert "exp-square-moment [" in report
@@ -491,15 +492,41 @@ def test_cli_concentration_fails_against_an_over_declared_lambda(tmp_path, capsy
     )
     assert run_cli(["concentration", "--config", path, "--seed", "4"]) == EXIT_USAGE
     capsys.readouterr()
-    code = run_cli(["concentration", "--config", path, "--seed", "4", "--unchecked",
-                    "--trials", "200"])
-    summary = load_summary(capsys.readouterr().out.strip())
-    assert code == EXIT_BOUND
-    assert summary["flags"] == {"bound_holds": False}
-    res = summary["result"]
-    assert res["c_pipeline"] < 1.0 < res["c_fitted"]
-    assert res["c_fitted_over_pipeline"] == pytest.approx(res["c_fitted"] / res["c_pipeline"])
-    assert summary["arguments"] == {"function": "coordinate", "trials": 200, "time": None}
+    # the run the load-time check refuses, on the parsed config as is
+    cfg = replace(parse_config(Path(path).read_text()), seed=4)
+    res = experiments.concentration_suite(cfg, trials=200)
+    holds = res.empirical_tail <= res.bound + 1e-12
+    assert not np.all(holds[~res.unreliable])  # bound_holds = False
+    assert res.c_pipeline < 1.0 < res.c_fitted
+    assert res.c_fitted_over_pipeline == pytest.approx(res.c_fitted / res.c_pipeline)
+    assert (res.lipschitz_f, res.trials, res.T) == ("coordinate", 200, cfg.horizon)
+
+
+def test_cli_concentration_needs_a_declared_lambda(tmp_path, capsys):
+    # The T1 constant comes from W's declared (lambda, C) only; the default W
+    # declares none, so nothing runs and nothing is written.
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, dynamics={"mode": "raw"}, output={"dir": str(out)})
+    code = run_cli(["concentration", "--config", path, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error: ") and "lambda" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-potential", "--config", "x.cfg", "--seed", "0"],
+    ["report", "--seed", "0"],
+    *[[cmd, "--config", "x.cfg", "--seed", "0", "--unchecked"]
+      for cmd in ("check-potential", "simulate", "decay", "chaos-scan", "concentration",
+                  "uniform-moments", "exp-square-moment")],
+    ["report", "--unchecked"],
+])
+def test_cli_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    assert run_cli(argv) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("horizon, time", [
@@ -538,12 +565,12 @@ def test_cli_report_aggregates_flags(tmp_path, capsys):
     (out / "x.json").write_text(json.dumps(
         {"experiment": "decay", "config_hash": "abc", "flags": {"ok": True}}
     ))
-    assert run_cli(["report", "--seed", "1", "--out", str(out)]) == EXIT_OK
+    assert run_cli(["report", "--out", str(out)]) == EXIT_OK
     assert "decay" in capsys.readouterr().out
     (out / "y.json").write_text(json.dumps(
         {"experiment": "chaos", "config_hash": "def", "flags": {"ok": False}}
     ))
-    assert run_cli(["report", "--seed", "1", "--out", str(out)]) == EXIT_BOUND
+    assert run_cli(["report", "--out", str(out)]) == EXIT_BOUND
     capsys.readouterr()
 
 

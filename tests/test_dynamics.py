@@ -284,18 +284,20 @@ def test_initial_law_two_point_support():
 @pytest.mark.parametrize("kind", LAW_KINDS)
 @pytest.mark.parametrize("d", [1, 3])
 def test_first_particle_draws_are_the_same_for_every_n(kind, d):
-    # The chaos scan's one proxy per ensemble rests on this: row 0 of the
-    # initial draw and particle 0's increments do not depend on n.
+    # The chaos walk rests on this: it draws the initial state and each
+    # step's increments once, for the largest n, and hands the n-system the
+    # first n rows and both proxies row 0.  So every n-row draw must be the
+    # n-row prefix of a larger one.
     src, streams = BrownianSource(5), [0, 8, 40]
     law = InitialLaw(kind=kind, mean=(0.5,), sigma=2.0, half_width=3.0, weight=0.4)
     for s in streams:
-        rows = [law.sample(src, s, n, d)[:1] for n in (1, 2, 17)]
-        np.testing.assert_array_equal(rows[0], rows[1])
-        np.testing.assert_array_equal(rows[0], rows[2])
+        full = law.sample(src, s, 17, d)
+        for n in (1, 2, 16):
+            np.testing.assert_array_equal(law.sample(src, s, n, d), full[:n])
     for k in (0, 3):
-        blocks = [batch_noise(src, streams, k, n, d)[:, :1] for n in (1, 2, 17)]
-        np.testing.assert_array_equal(blocks[0], blocks[1])
-        np.testing.assert_array_equal(blocks[0], blocks[2])
+        full = batch_noise(src, streams, k, 17, d)
+        for n in (1, 2, 16):
+            np.testing.assert_array_equal(batch_noise(src, streams, k, n, d), full[:, :n])
 
 
 def test_couple_initial_comonotone_sorts():

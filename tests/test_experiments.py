@@ -361,12 +361,16 @@ def test_pipeline_t1_constant_from_declared():
 
 
 def test_pipeline_t1_constant_infinite_without_convexity():
+    # no declared lambda, no T_1 constant: the bound is refused, not inferred
     cfg = make_config(potential_W={"kind": "zero"})
-    assert pipeline_t1_constant(cfg) == float("inf")
+    with pytest.raises(ValueError, match="lambda"):
+        pipeline_t1_constant(cfg)
 
 
 def test_concentration_constant_function_has_zero_tail():
     cfg = make_config(
+        # W = |x|^4 is convex at infinity with (lambda, C) = (1, 1/4) in d = 1
+        potential_W={"lambda": 1.0, "C": 0.25},
         dynamics={"n": 8, "dt": 0.02},
         experiment={"horizon": 0.2, "obs_times": "0.2", "runs": 1},
     )
@@ -385,8 +389,8 @@ def test_concentration_requires_enough_trials():
 def test_concentration_tail_monotone_in_r():
     cfg = make_config(
         dynamics={"n": 8, "mode": "raw", "scheme": "euler", "dt": 0.02},
-        potential_W={"kind": "quadratic", "kappa": 0.5, "A": 1.0, "alpha": 0.0,
-                     "m": 1, "p": None},
+        potential_W={"kind": "quadratic", "kappa": 0.5, "lambda": 1.0, "C": 0.0,
+                     "A": 1.0, "alpha": 0.0, "m": 1, "p": None},
         experiment={"horizon": 1.0, "obs_times": "1.0", "runs": 1},
     )
     res = concentration_suite(cfg, f_name="coordinate", T=1.0, trials=200)

@@ -176,12 +176,6 @@ def test_exp_square_moment_at_zero_distance():
     assert series.stderr == [0.0]
 
 
-def test_exp_square_moment_refuses_bad_delta():
-    with pytest.raises(ValueError, match="lambda"):
-        exp_square_moment(np.zeros((1, 4)), delta=0.3, lambda_hat=1.0,
-                          diffusion_bound_A=2.0)
-
-
 def test_exp_square_moment_heavy_tail_flag():
     z = np.zeros((1, 100))
     z[0, 0] = 80.0  # exp(0.1 * 80) dominates the sum
