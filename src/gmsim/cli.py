@@ -204,8 +204,12 @@ def _cmd_report(args) -> int:
     for name in sorted(os.listdir(args.out)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(args.out, name)) as fh:
+        path = os.path.join(args.out, name)
+        with open(path) as fh:
             summary = json.load(fh)
+        if not isinstance(summary, dict):
+            raise ValueError(f"{path} is not a summary: it holds a JSON "
+                             f"{type(summary).__name__}, not an object")
         flags = summary.get("flags", {})
         ok = ok and all(flags.values())
         line = ", ".join(f"{k}={'pass' if v else 'FAIL'}" for k, v in flags.items())

@@ -3,11 +3,11 @@ drift taming, the zero-mean projected system, and the synchronous coupling.
 
 Positions always carry a leading run axis, (runs, N, d); a single run is a
 batch of one.  Independent Monte Carlo runs advance in lockstep: each step
-draws its noise once with batch_noise, run r from its own counter-based
-stream, and makes one update with apply_scheme, which projects the noise
-and recentres the ensemble in projected mode and rejects non-finite
-states.  Results are therefore bit-identical whatever the batching or
-thread count.
+draws its noise with one batch_noise call, a single (runs, N, d) block in
+which run r reads its own counter-based stream, and makes one update with
+apply_scheme, which projects the noise and recentres the ensemble in
+projected mode and rejects non-finite states.  Results are therefore
+bit-identical whatever the batching or thread count.
 """
 
 from __future__ import annotations
@@ -96,7 +96,9 @@ def noise_block(
     source: BrownianSource, stream: int, step_index: int, n: int, dim: int
 ) -> np.ndarray:
     """Standard normal increments for one step of one run, shape (n, dim),
-    a pure function of (seed, stream, step_index)."""
+    a pure function of (seed, stream, step_index).  The steppers draw
+    through batch_noise; the name stays only because the benchmark's span
+    tracer wraps it."""
     return source.normals(stream, step_index, n * dim).reshape(n, dim)
 
 
@@ -160,12 +162,10 @@ def observation_schedule(obs_steps, state, advance):
 
 
 def batch_noise(source: BrownianSource, streams, step_index: int, n: int, dim: int) -> np.ndarray:
-    """Per-run noise blocks stacked to (runs, n, dim); run r's block depends
-    only on its own stream, never on the batch composition."""
-    xi = np.empty((len(streams), n, dim))
-    for r, s in enumerate(streams):
-        xi[r] = noise_block(source, s, step_index, n, dim)
-    return xi
+    """Per-run noise blocks stacked to (runs, n, dim), drawn in one call on
+    the source; run r's block depends only on its own stream, never on the
+    batch composition."""
+    return source.normals(streams, step_index, n * dim).reshape(len(streams), n, dim)
 
 
 def step_batch(

@@ -574,6 +574,16 @@ def test_cli_report_aggregates_flags(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_report_rejects_a_json_that_is_not_an_object(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "a.json").write_text(json.dumps([1, 2]))
+    assert run_cli(["report", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "a.json" in err[0]
+
+
 def test_cli_unknown_subcommand_is_usage_error(capsys):
     assert run_cli(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()

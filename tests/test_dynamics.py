@@ -127,7 +127,7 @@ def test_mean_grad_quartic_against_two_points_closed_form():
 
 def test_drift_raises_on_nonfinite():
     x = np.array([[1.0], [np.inf]])
-    with pytest.raises(IntegrationError):
+    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError):
         drift(x, zero(), quadratic(1.0))
 
 
@@ -158,7 +158,7 @@ def test_euler_blows_up_tamed_does_not():
     policy_e = StepPolicy(scheme="euler", dt=0.01)
     policy_t = StepPolicy(scheme="tamed", dt=0.01)
     x = x0.copy()
-    with pytest.raises(IntegrationError):
+    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError):
         for k in range(100):
             x = step_batch(x, zero(), power_law(4.0), policy_e, src, [0], k)
     x = x0.copy()

@@ -2,12 +2,64 @@
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from numpy.random import Philox
+from scipy.special import ndtri
 
 from gmsim.rng import INIT_STEP, BrownianSource
 
 SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
 STREAMS = st.integers(min_value=0, max_value=2**31)
 STEPS = st.integers(min_value=0, max_value=2**40)
+# small stream ids make repeated streams within one call common
+STREAM_LISTS = st.lists(st.one_of(st.integers(0, 3), STREAMS), min_size=1, max_size=8)
+
+
+def _oracle_uniforms(seed, stream, step, count):
+    # A freshly constructed Philox per block, mapped to (0, 1) as documented:
+    # the top 53 bits of each word, offset by half a unit.
+    words = Philox(key=seed, counter=[0, 0, step, stream]).random_raw(count)
+    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) / 2.0**53
+
+
+@given(seed=SEEDS, step=st.one_of(STEPS, st.just(INIT_STEP)), streams=STREAM_LISTS,
+       count=st.integers(1, 33))
+@settings(max_examples=100, deadline=None)
+def test_batched_rows_match_a_fresh_philox_per_stream(seed, step, streams, count):
+    src = BrownianSource(seed)
+    u = src.uniforms(streams, step, count)
+    z = src.normals(streams, step, count)
+    assert u.shape == z.shape == (len(streams), count)
+    for r, stream in enumerate(streams):
+        expected = _oracle_uniforms(seed, stream, step, count)
+        np.testing.assert_array_equal(u[r], expected)
+        np.testing.assert_array_equal(z[r], ndtri(expected))
+        np.testing.assert_array_equal(src.normals(stream, step, count), z[r])
+
+
+def test_frozen_values():
+    # Recorded from the one-generator-per-block implementation; a change in
+    # numpy's Philox or in the transform fails here.
+    src = BrownianSource(20240611)
+    np.testing.assert_array_equal(src.normals(3, 17, 5), [
+        0.5168821459327875, -2.676294799133514, 2.8847476115993724,
+        -1.018482978596714, -0.28618200743228556])
+    np.testing.assert_array_equal(src.uniforms(3, 17, 5), [
+        0.6973807841389106, 0.003722056747590907, 0.9980413621514148,
+        0.15422424294434228, 0.3873693618477381])
+    src = BrownianSource(7)
+    np.testing.assert_array_equal(src.normals([0], INIT_STEP, 5), [[
+        -1.3122428823622725, 3.0002047960128464, 0.2605546810050618,
+        1.1082945396309778, -1.098741427035506]])
+    np.testing.assert_array_equal(src.uniforms([0], INIT_STEP, 5), [[
+        0.094719098617633, 0.998651009314488, 0.6027820290041248,
+        0.8661326835522727, 0.1359404336153322]])
+
+
+def test_source_holds_no_generator():
+    # Pool threads share one source, so a call must leave nothing behind.
+    src = BrownianSource(5)
+    src.normals([0, 1], 3, 8)
+    assert vars(src) == {"seed": 5}
 
 
 def test_block_is_pure_function_of_seed_stream_step():
