@@ -38,15 +38,38 @@ from .rng import BrownianSource
 # ---------------------------------------------------------------------------
 # deterministic run-chunk parallelism
 
-def _chunks(n_runs: int, threads: int):
-    idx = list(range(n_runs))
-    size = math.ceil(len(idx) / max(1, threads))
-    return [idx[i : i + size] for i in range(0, len(idx), size)]
+# Fewest elements a chunk must touch per step before running chunks on pool
+# threads beats one chunk inline: smaller numpy calls cost more in dispatch
+# and GIL contention than the threads win back.  Measured on a 2-core host
+# with chaos_scan, N in {8, 64}, 8 runs, 2 threads: the pool lost at 12.6 k
+# elements per chunk, tied at 25 k and won from 37 k on.  For a pairwise W
+# (simulate_batch, uniform_plus_bump, 8 runs, 2 threads, d in {1, 3}) it
+# lost up to 12.5 k pair-temporary elements per chunk, was mixed between
+# and won from 32 k on.
+MIN_CHUNK_WORK = 2**15
+
+
+def _step_work(W, sizes, dim: int) -> int:
+    """Elements one run's step touches for ensembles of the given sizes:
+    the n x n x d pair temporary when W's mean_grad sums pairs, else the
+    n x d positions."""
+    return sum(n * n * dim if W.sums_pairs else n * dim for n in sizes)
+
+
+def _chunks(n_runs: int, threads: int, work_per_run: int):
+    """Split runs 0 .. n_runs - 1 into consecutive chunks of near-equal
+    size, as many as threads allows and no more than leave every chunk
+    MIN_CHUNK_WORK elements per step; at least one."""
+    min_runs = -(-MIN_CHUNK_WORK // max(1, work_per_run))
+    k = max(1, min(threads, n_runs // min_runs))
+    return [list(range(i * n_runs // k, (i + 1) * n_runs // k)) for i in range(k)]
 
 
 def _map_chunks(fn, chunks, threads: int):
-    """Apply fn to each chunk; aggregation order is fixed by chunk order,
-    so the thread count never changes the result."""
+    """Apply fn to each chunk, on up to `threads` pool threads when there is
+    more than one chunk and inline otherwise; aggregation order is fixed by
+    chunk order, and each run depends only on its own stream, so neither
+    the thread count nor the chunking changes the result."""
     if threads <= 1 or len(chunks) == 1:
         return [fn(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -139,7 +162,8 @@ def simulate_batch(config: SimConfig, runs: int | None = None, threads: int = 1)
             out[slots] = x
         return out
 
-    parts = _map_chunks(run_chunk, _chunks(runs, threads), threads)
+    work = _step_work(config.potential_W, [config.n], config.dim)
+    parts = _map_chunks(run_chunk, _chunks(runs, threads, work), threads)
     return np.asarray(config.observation_times), np.concatenate(parts, axis=1)
 
 
@@ -170,7 +194,8 @@ def coupled_batch(config: SimConfig, threads: int = 1):
             xi_out[slots] = np.mean(np.sum((xa - xb) ** 2, axis=-1), axis=-1)
         return xi_out
 
-    parts = _map_chunks(run_chunk, _chunks(config.runs, threads), threads)
+    work = 2 * _step_work(config.potential_W, [n], dim)
+    parts = _map_chunks(run_chunk, _chunks(config.runs, threads, work), threads)
     return np.asarray(config.observation_times), np.concatenate(parts, axis=1)
 
 
@@ -354,7 +379,10 @@ def chaos_scan(
     def run_chunk(chunk):
         return _chaos_walk(config, source, chunk, N_values, M_reference, obs)
 
-    err = np.concatenate(_map_chunks(run_chunk, _chunks(runs_per_N, threads), threads), axis=-1)
+    work = _step_work(config.potential_W, [M_reference, M_reference // 2, *N_values],
+                      config.dim)
+    err = np.concatenate(
+        _map_chunks(run_chunk, _chunks(runs_per_N, threads, work), threads), axis=-1)
     errors, stderrs, worst_times = [], [], []
     for err_runs in err[:-1]:
         mean_t, se_t = _mc_mean(err_runs.T)

@@ -21,13 +21,12 @@ def write_snapshot_jsonl(path, times, positions: np.ndarray, include_positions: 
     optionally the raw positions."""
     with open(path, "w") as fh:
         for ti, t in enumerate(times):
+            mean_sq = np.mean(np.sum(positions[ti] ** 2, axis=-1), axis=-1).tolist()
             for r in range(positions.shape[1]):
                 rec = {
                     "time": float(t),
                     "run": r,
-                    "observables": {
-                        "mean_sq": float(np.mean(np.sum(positions[ti, r] ** 2, axis=-1))),
-                    },
+                    "observables": {"mean_sq": mean_sq[r]},
                 }
                 if include_positions:
                     rec["positions"] = positions[ti, r].tolist()

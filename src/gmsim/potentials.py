@@ -54,6 +54,13 @@ class Potential:
     def is_zero(self) -> bool:
         return self.kind == ZERO
 
+    @property
+    def sums_pairs(self) -> bool:
+        """Whether mean_grad sums all N x M pair gradients; False for the
+        kinds whose sum expands exactly in the moments of the ensemble."""
+        return not (self.kind == QUADRATIC
+                    or (self.kind == POWER_LAW and self.params["p"] in (2.0, 4.0)))
+
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Gradient at x, shape (..., d).  Odd in x for every built-in kind."""
         x = np.asarray(x, dtype=float)
@@ -88,8 +95,7 @@ class Potential:
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        p = self.params.get("p")
-        if self.kind != QUADRATIC and not (self.kind == POWER_LAW and p in (2.0, 4.0)):
+        if self.sums_pairs:
             return self.grad(x[..., :, None, :] - y[..., None, :, :]).mean(axis=-2)
         # ybar = y_0 + mean(y - y_0) is never formed: u and v are taken
         # from differences to the sample point y_0, so their rounding
@@ -101,7 +107,7 @@ class Potential:
         v = y - y0
         shift = v.sum(axis=-2, keepdims=True) / m
         u = (x - y0) - shift
-        if p != 4.0:  # quadratic, or power_law p = 2 with kappa = 1
+        if self.params.get("p") != 4.0:  # quadratic, or power_law p = 2 with kappa = 1
             return 2.0 * self.params.get("kappa", 1.0) * u
         v = v - shift
         vv = np.sum(v * v, axis=-1, keepdims=True)

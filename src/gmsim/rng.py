@@ -28,6 +28,8 @@ from scipy.special import ndtri
 INIT_STEP = 2**62
 
 _INV_2_53 = 2.0**-53
+# The largest double below 1.
+_U_MAX = 1.0 - 2.0**-53
 
 
 class BrownianSource:
@@ -60,10 +62,18 @@ class BrownianSource:
 
     def uniforms(self, stream, step: int, count: int) -> np.ndarray:
         """Uniform variates in the open interval (0, 1)."""
-        raw = self._raw(stream, step, count)
-        return ((raw >> 11) + 0.5) * _INV_2_53
+        return _to_uniform(self._raw(stream, step, count))
 
     def normals(self, stream, step: int, count: int) -> np.ndarray:
         """Standard normal variates, element i of a stream's block being a
         pure function of (seed, stream, step, i)."""
         return ndtri(self.uniforms(stream, step, count))
+
+
+def _to_uniform(raw: np.ndarray) -> np.ndarray:
+    """Map 64-bit words to (0, 1): the top 53 bits, offset by half a unit.
+    For the top value 2^53 - 1 the offset rounds the sum up to 2^53, so
+    that one value is clamped to the largest double below 1; every other
+    word maps as if unclamped."""
+    u = ((raw >> 11) + 0.5) * _INV_2_53
+    return np.minimum(u, _U_MAX, out=u)

@@ -8,10 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gmsim import experiments
 from gmsim.config import config_hash, parse_config
 from gmsim.dynamics import InitialLaw, observation_steps
 from gmsim.experiments import (
     _chaos_walk,
+    _chunks,
+    _step_work,
     chaos_scan,
     concentration_suite,
     coupled_batch,
@@ -30,6 +33,7 @@ from gmsim.experiments import (
     uniform_moment_experiment,
     write_experiment_outputs,
 )
+from gmsim.potentials import Potential
 from gmsim.rng import BrownianSource
 
 from conftest import make_config
@@ -101,6 +105,72 @@ def test_simulate_batch_thread_invariance():
     _, a = simulate_batch(cfg, threads=1)
     _, b = simulate_batch(cfg, threads=4)
     np.testing.assert_array_equal(a, b)
+
+
+QUARTIC_W = Potential("power_law", {"p": 4.0})
+BUMP_W = Potential("uniform_plus_bump", {"kappa": 1.0, "amplitude": 0.7, "radius": 2.0})
+
+
+def test_chunks_follow_the_work():
+    # The moment path touches n x d elements per ensemble, the pairwise
+    # path its n x n x d pair temporary.
+    assert _step_work(QUARTIC_W, [64], 3) == 64 * 3
+    assert _step_work(BUMP_W, [64], 3) == 64 * 64 * 3
+    # The benchmark's chaos-scan: N in {8, 16, 32, 64}, M = 512, d = 1,
+    # 8 runs on 2 threads, too little work per chunk to pool.
+    small = _step_work(QUARTIC_W, [512, 256, 8, 16, 32, 64], 1)
+    assert _chunks(8, 2, small) == [list(range(8))]
+    # N in {512, 4096}, M = 32768, 8 runs on 2 threads: two chunks.
+    large = _step_work(QUARTIC_W, [32768, 16384, 512, 4096], 1)
+    assert _chunks(8, 2, large) == [[0, 1, 2, 3], [4, 5, 6, 7]]
+    for n_runs in range(1, 11):
+        for threads in range(1, 6):
+            for work in (0, 1, 10**3, 2 * experiments.MIN_CHUNK_WORK // 3,
+                         experiments.MIN_CHUNK_WORK, 10**9):
+                chunks = _chunks(n_runs, threads, work)
+                assert 1 <= len(chunks) <= min(threads, n_runs)
+                assert sum(chunks, []) == list(range(n_runs))
+                sizes = [len(c) for c in chunks]
+                assert max(sizes) - min(sizes) <= 1
+                assert len(chunks) == 1 or min(sizes) * work >= experiments.MIN_CHUNK_WORK
+
+
+def test_pooled_chunks_give_identical_runs(monkeypatch):
+    # With every chunk worth pooling, 3 threads split 8 runs unevenly into
+    # (2, 3, 3) on the pool; each run still reads only its own stream.
+    monkeypatch.setattr(experiments, "MIN_CHUNK_WORK", 1)
+    map_chunks, seen = experiments._map_chunks, []
+
+    def spy(fn, chunks, threads):
+        seen.append([len(c) for c in chunks])
+        return map_chunks(fn, chunks, threads)
+
+    monkeypatch.setattr(experiments, "_map_chunks", spy)
+    cfg = make_config(
+        dynamics={"n": 8, "dt": 0.02},
+        initial_law_b={"kind": "gaussian", "mean": 1.0, "sigma": 0.5},
+        experiment={"horizon": 0.2, "obs_times": "0.0,0.1,0.2", "runs": 8},
+    )
+    bump = make_config(
+        potential_W={"kind": "uniform_plus_bump", "kappa": 1.0, "amplitude": 0.7,
+                     "radius": 2.0, "m": 2, "p": None, "A": None, "alpha": None},
+        dynamics={"n": 8, "dim": 2, "dt": 0.02},
+        experiment={"horizon": 0.2, "obs_times": "0.0,0.1,0.2", "runs": 8},
+    )
+    runs = {
+        "simulate": lambda t: simulate_batch(cfg, threads=t)[1],
+        "simulate pairwise": lambda t: simulate_batch(bump, threads=t)[1],
+        "coupled": lambda t: coupled_batch(cfg, threads=t)[1],
+        "chaos": lambda t: vars(chaos_scan(cfg, [4, 8], 64, 8, threads=t)),
+    }
+    for name, run in runs.items():
+        seen.clear()
+        one, pooled = run(1), run(3)
+        assert seen == [[8], [2, 3, 3]], name
+        if name == "chaos":
+            assert one == pooled
+        else:
+            np.testing.assert_array_equal(one, pooled, err_msg=name)
 
 
 def test_observations_snapping_to_one_step_are_all_filled():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from gmsim.rng import INIT_STEP, BrownianSource
+from gmsim.rng import INIT_STEP, BrownianSource, _to_uniform
 
 SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
 STREAMS = st.integers(min_value=0, max_value=2**31)
@@ -91,6 +91,19 @@ def test_uniforms_lie_in_open_interval():
     u = BrownianSource(1).uniforms(3, 2, 10_000)
     assert u.min() > 0.0
     assert u.max() < 1.0
+
+
+def test_top_word_maps_below_one():
+    # Both words carry the top 53-bit value 2^53 - 1, whose half-unit
+    # offset rounds up to 2^53: unclamped it would give u = 1, ndtri = inf.
+    top = np.array([2**64 - 1, 2**64 - 2**11], dtype=np.uint64)
+    u = _to_uniform(top)
+    assert np.all(u < 1.0)
+    np.testing.assert_array_equal(u, np.nextafter(1.0, 0.0))
+    assert np.all(np.isfinite(ndtri(u)))
+    # The next word down and the bottom one map exactly as unclamped.
+    rest = np.array([2**64 - 2**12, 0], dtype=np.uint64)
+    np.testing.assert_array_equal(_to_uniform(rest), [(2**53 - 2) / 2**53, 0.5 / 2**53])
 
 
 def test_normals_match_standard_moments():
