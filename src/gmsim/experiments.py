@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from . import io as gio
 from .config import SimConfig, canonical_text, config_hash, observation_time_errors
@@ -429,7 +429,7 @@ def uniform_moment_experiment(config: SimConfig, threads: int = 1):
     series = moment(pos, 2, times=list(times))
     slope, se = fit_linear_trend(times[half], np.asarray(series.values)[half])
     df = int(half.sum()) - 2
-    crit = float(stats.t.ppf(0.975, df))
+    crit = float(stdtrit(df, 0.975))
     accepted = abs(slope) <= crit * se
     return series, {
         "slope": slope,

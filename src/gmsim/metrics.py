@@ -45,22 +45,15 @@ def _mc_mean(per_run: np.ndarray):
     return m, se
 
 
-def moment(positions: np.ndarray, order_2k: int, times=None) -> MomentSeries:
-    """E |X^i|^{2k} averaged over particles and runs.
-
-    positions: (runs, n, d) for a single time or (n_times, runs, n, d).
-    """
+def moment(positions: np.ndarray, order_2k: int, times) -> MomentSeries:
+    """E |X^i|^{2k} averaged over particles and runs at each of the times,
+    from positions of shape (n_times, runs, n, d)."""
     if order_2k < 2 or order_2k % 2:
         raise ValueError("order must be an even integer >= 2")
     x = np.asarray(positions, dtype=float)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
     sq = np.sum(x * x, axis=-1)
     per_run = (sq ** (order_2k / 2)).mean(axis=-1)  # (n_times, runs)
     vals, ses = _mc_mean(per_run.T)
-    if times is None:
-        times = list(range(x.shape[0]))
     return MomentSeries(list(times), order_2k, [float(v) for v in vals], [float(s) for s in ses])
 
 
@@ -110,7 +103,7 @@ class ExpSquareMomentSeries:
 
 
 def exp_square_moment(
-    sq_distances: np.ndarray, delta: float, times=None
+    sq_distances: np.ndarray, delta: float, times
 ) -> ExpSquareMomentSeries:
     """MC estimate of E exp(delta |X_t - Y_t|^2) from squared distances of
     independent coupled copies, shape (n_times, runs).
@@ -121,13 +114,9 @@ def exp_square_moment(
     carries more than half of the sum.
     """
     z = np.asarray(sq_distances, dtype=float)
-    if z.ndim == 1:
-        z = z[None]
     w = np.exp(delta * z)
     vals, ses = _mc_mean(w.T)
     flags = (w.max(axis=1) / np.maximum(w.sum(axis=1), 1e-300)) > 0.5
-    if times is None:
-        times = list(range(z.shape[0]))
     return ExpSquareMomentSeries(
         list(times), float(delta), [float(v) for v in vals], [float(s) for s in ses],
         [bool(f) for f in flags],

@@ -57,8 +57,9 @@ class Potential:
     @property
     def sums_pairs(self) -> bool:
         """Whether mean_grad sums all N x M pair gradients; False for the
-        kinds whose sum expands exactly in the moments of the ensemble."""
-        return not (self.kind == QUADRATIC
+        zero force and for the kinds whose sum expands exactly in the
+        moments of the ensemble."""
+        return not (self.kind in (QUADRATIC, ZERO)
                     or (self.kind == POWER_LAW and self.params["p"] in (2.0, 4.0)))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
@@ -91,10 +92,13 @@ class Potential:
         exactly in the moments of y about its mean ybar, in O((N + M) d^2):
         with u = x - ybar, v = y - ybar and S = E[v v^T], p = 4 gives
         4 (|u|^2 u + 2 S u + tr(S) u - E[|v|^2 v]) and the quadratic kind
-        2 kappa u.  Every other kind sums all N x M pair gradients.
+        2 kappa u.  The zero kind returns +0.0 without forming pairs.  Every
+        other kind sums all N x M pair gradients.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if self.kind == ZERO:
+            return np.zeros(np.broadcast_shapes(x.shape, y[..., :1, :].shape))
         if self.sums_pairs:
             return self.grad(x[..., :, None, :] - y[..., None, :, :]).mean(axis=-2)
         # ybar = y_0 + mean(y - y_0) is never formed: u and v are taken
@@ -228,33 +232,34 @@ def _probe_pairs(dim: int):
     return x, y
 
 
-def _pair_products(potential: Potential, x: np.ndarray, y: np.ndarray):
-    gx = potential.grad(x)
-    gy = potential.grad(y)
+def _check_monotonicity(
+    potential: Potential, dim: int, bound_of, name: str, constants: dict
+) -> ConditionReport:
+    """Probe (x-y).(grad W(x)-grad W(y)) >= bound_of(|x-y|^2) on pairs in
+    R^dim; the bound may carry leading axes of its own."""
+    x, y = _probe_pairs(dim)
     diff = x - y
-    sq = np.sum(diff * diff, axis=-1)
-    dot = np.sum(diff * (gx - gy), axis=-1)
-    return sq, dot
+    dot = np.sum(diff * (potential.grad(x) - potential.grad(y)), axis=-1)
+    bound = bound_of(np.sum(diff * diff, axis=-1))
+    return ConditionReport(
+        condition_name=name,
+        fitted_constants=constants,
+        worst_violation=float(np.max(bound - dot)),
+        probe_count=x.shape[0],
+        probe_extent=EXTENT,
+        tolerance=default_tolerance(float(np.max(np.abs(bound)))),
+    )
 
 
 def check_condition_C(
     potential: Potential, A: float, alpha: float, dim: int = 1
 ) -> ConditionReport:
     """Probe (x-y).(grad W(x)-grad W(y)) >= A eps^alpha (|x-y|^2 - eps^2)
-    on pairs in R^dim."""
-    x, y = _probe_pairs(dim)
-    sq, dot = _pair_products(potential, x, y)
-    # bound[e, pair] = A eps^alpha (|x-y|^2 - eps^2)
-    bound = A * EPS_GRID[:, None] ** alpha * (sq[None, :] - EPS_GRID[:, None] ** 2)
-    violation = bound - dot[None, :]
-    return ConditionReport(
-        condition_name="C_A_alpha",
-        fitted_constants={"A": float(A), "alpha": float(alpha)},
-        worst_violation=float(np.max(violation)),
-        probe_count=x.shape[0],
-        probe_extent=EXTENT,
-        tolerance=default_tolerance(float(np.max(np.abs(bound)))),
-    )
+    on pairs in R^dim, at each eps of EPS_GRID."""
+    eps = EPS_GRID[:, None]
+    return _check_monotonicity(
+        potential, dim, lambda sq: A * eps**alpha * (sq - eps**2),
+        "C_A_alpha", {"A": float(A), "alpha": float(alpha)})
 
 
 def check_convexity_at_infinity(
@@ -262,17 +267,9 @@ def check_convexity_at_infinity(
 ) -> ConditionReport:
     """Probe (x-y).(grad W(x)-grad W(y)) >= lambda |x-y|^2 - C on pairs in
     R^dim."""
-    x, y = _probe_pairs(dim)
-    sq, dot = _pair_products(potential, x, y)
-    bound = lam * sq - C
-    return ConditionReport(
-        condition_name="A4_conv_at_infinity",
-        fitted_constants={"lambda": float(lam), "C": float(C)},
-        worst_violation=float(np.max(bound - dot)),
-        probe_count=x.shape[0],
-        probe_extent=EXTENT,
-        tolerance=default_tolerance(float(np.max(np.abs(bound)))),
-    )
+    return _check_monotonicity(
+        potential, dim, lambda sq: lam * sq - C,
+        "A4_conv_at_infinity", {"lambda": float(lam), "C": float(C)})
 
 
 def check_polynomial_growth(potential: Potential, m: int, dim: int = 1) -> ConditionReport:

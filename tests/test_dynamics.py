@@ -1,5 +1,7 @@
 """Drift, steppers, projection, couplings and the determinism contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +125,21 @@ def test_mean_grad_quartic_against_two_points_closed_form():
     np.testing.assert_allclose(
         W.mean_grad(np.full((1, 1, 1), b), aux), [[[4.0 * (b**3 + 3.0 * a * a * b)]]], rtol=1e-14
     )
+
+
+def test_mean_grad_zero_forms_no_pairs():
+    # A zero force returns +0.0, which drift negates to -0.0, without the
+    # runs x N x N pair temporary.
+    x = np.random.default_rng(0).normal(size=(4, 512, 1))
+    tracemalloc.start()
+    try:
+        g = zero().mean_grad(x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.shape == x.shape
+    assert not np.any(g) and not np.any(np.signbit(g))
+    assert peak < (4 * 512 * 512 * 8) // 64
 
 
 def test_drift_raises_on_nonfinite():

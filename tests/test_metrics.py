@@ -36,19 +36,19 @@ def brute_force_w(a, b, p=2):
 # moments
 
 def test_moment_all_zero():
-    assert moment(np.zeros((4, 8, 2)), 2).values == [0.0]
+    assert moment(np.zeros((1, 4, 8, 2)), 2, [0.0]).values == [0.0]
 
 
 def test_moment_rejects_odd_order():
     with pytest.raises(ValueError):
-        moment(np.zeros((2, 4, 1)), 3)
+        moment(np.zeros((1, 2, 4, 1)), 3, [0.0])
 
 
 def test_moment_gaussian_oracle(rng):
     # analytic moments of |X|^{2k} for X ~ N(0,1) in d=1: 1, 3, 15
-    x = rng.normal(size=(64, 500, 1))
+    x = rng.normal(size=(1, 64, 500, 1))
     for order, expect in ((2, 1.0), (4, 3.0), (6, 15.0)):
-        series = moment(x, order)
+        series = moment(x, order, [0.0])
         assert abs(series.values[0] - expect) < 4 * series.stderr[0]
 
 
@@ -63,8 +63,8 @@ def test_moment_stationary_projected_quadratic():
         dynamics={"n": n, "scheme": "euler", "dt": 0.005},
         experiment={"horizon": 4.0, "obs_times": "2.0,2.5,3.0,3.5,4.0", "runs": 64},
     )
-    _, pos = simulate_batch(cfg)
-    series = moment(pos, 2)
+    times, pos = simulate_batch(cfg)
+    series = moment(pos, 2, times)
     expect = 0.5 * (1.0 - 1.0 / n)
     est = np.mean(series.values)
     assert abs(est - expect) < 4 * np.max(series.stderr)
@@ -171,7 +171,7 @@ def test_coupled_upper_bound_dominates_exact(rng):
 # exponential square moments
 
 def test_exp_square_moment_at_zero_distance():
-    series = exp_square_moment(np.zeros((1, 32)), delta=0.1)
+    series = exp_square_moment(np.zeros((1, 32)), 0.1, [0.0])
     assert series.values == [1.0]
     assert series.stderr == [0.0]
 
@@ -179,9 +179,9 @@ def test_exp_square_moment_at_zero_distance():
 def test_exp_square_moment_heavy_tail_flag():
     z = np.zeros((1, 100))
     z[0, 0] = 80.0  # exp(0.1 * 80) dominates the sum
-    series = exp_square_moment(z, delta=0.1)
+    series = exp_square_moment(z, 0.1, [0.0])
     assert series.heavy_tail_flags == [True]
-    calm = exp_square_moment(np.ones((1, 100)), delta=0.1)
+    calm = exp_square_moment(np.ones((1, 100)), 0.1, [0.0])
     assert calm.heavy_tail_flags == [False]
 
 
@@ -189,7 +189,7 @@ def test_exp_square_moment_gaussian_oracle(rng):
     # Z ~ N(0, v) in d=1: E exp(delta Z^2) = (1 - 2 delta v)^{-1/2}
     v, delta = 1.5, 0.1
     z = rng.normal(scale=np.sqrt(v), size=(1, 40000)) ** 2
-    series = exp_square_moment(z, delta)
+    series = exp_square_moment(z, delta, [0.0])
     expect = (1 - 2 * delta * v) ** -0.5
     assert abs(series.values[0] - expect) < 3 * series.stderr[0] + 1e-3
 
