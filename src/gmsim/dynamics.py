@@ -16,7 +16,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .potentials import Potential
 from .rng import INIT_STEP, BrownianSource
@@ -199,5 +198,7 @@ def couple_initial(xa: np.ndarray, xb: np.ndarray):
     minimum-cost assignment for d > 1, exact for the empirical measures."""
     if xa.shape[-1] == 1:
         return np.sort(xa, axis=0), np.sort(xb, axis=0)
+    from scipy.optimize import linear_sum_assignment  # kept out of start-up
+
     rows, cols = linear_sum_assignment(np.sum((xa[:, None, :] - xb[None, :, :]) ** 2, axis=-1))
     return xa[rows], xb[cols]

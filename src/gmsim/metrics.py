@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 ASSIGNMENT_CAP = 64
 
@@ -87,6 +86,8 @@ def assignment_exact(samples_a, samples_b, p: int = 2) -> DistanceEstimate:
         raise ValueError("assignment_exact requires equal sample counts")
     if a.shape[0] > ASSIGNMENT_CAP:
         raise ValueError(f"assignment_exact capped at {ASSIGNMENT_CAP} samples")
+    from scipy.optimize import linear_sum_assignment  # kept out of start-up
+
     cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1) ** p
     rows, cols = linear_sum_assignment(cost)
     value = float((cost[rows, cols].mean()) ** (1.0 / p))

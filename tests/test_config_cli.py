@@ -3,6 +3,8 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -198,6 +200,24 @@ def test_validate_potentials_rejects_false_declaration():
 def test_shipped_config_parses_and_validates(path):
     reports = validate_potentials(parse_config(path.read_text()))
     assert all(rep.satisfied for _, rep in reports)
+
+
+def test_start_up_check_imports_neither_scipy_stats_nor_scipy_optimize():
+    # Both packages cost most of a fresh interpreter's start-up; the check
+    # that runs before every command needs neither.
+    script = (
+        "import sys, gmsim.cli\n"
+        "from gmsim.config import parse_config, validate_potentials\n"
+        f"validate_potentials(parse_config({config_text()!r}))\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_potential_parameter_errors_reported():

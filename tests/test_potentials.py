@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import qmc
 
 from gmsim.potentials import (
+    EXTENT,
+    PROBES,
     ConditionReport,
+    _probe_pairs,
     check_condition_C,
     check_convexity_at_infinity,
     check_polynomial_growth,
@@ -226,3 +230,16 @@ def test_check_declared_covers_declared_constants():
 def test_with_dim_probes_in_higher_dimension():
     rep = check_condition_C(power_law(4.0), 4.0, 2.0, dim=2)
     assert rep.satisfied
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 10])
+def test_probe_points_are_scipys_scrambled_sobol_points(dim):
+    # scipy.stats is the independent oracle: the probe set is rebuilt from
+    # scipy's direction-number table, so a scipy release that moves or
+    # changes that table fails here.
+    oracle = qmc.Sobol(d=2 * dim, scramble=True, seed=0).random(PROBES) * (2 * EXTENT) - EXTENT
+    x, y = _probe_pairs(dim)
+    np.testing.assert_array_equal(x[:PROBES], oracle[:, :dim])
+    np.testing.assert_array_equal(y[:PROBES], oracle[:, dim:])
+    assert _probe_pairs(dim)[0] is x
+    assert not x.flags.writeable and not y.flags.writeable
