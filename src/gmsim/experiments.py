@@ -43,17 +43,18 @@ from .rng import BrownianSource
 # and GIL contention than the threads win back.  Measured on a 2-core host
 # with chaos_scan, N in {8, 64}, 8 runs, 2 threads: the pool lost at 12.6 k
 # elements per chunk, tied at 25 k and won from 37 k on.  For a pairwise W
-# (simulate_batch, uniform_plus_bump, 8 runs, 2 threads, d in {1, 3}) it
-# lost up to 12.5 k pair-temporary elements per chunk, was mixed between
-# and won from 32 k on.
+# (simulate_batch, uniform_plus_bump, 8 runs, 2 threads, d in {1, 2, 3}) it
+# lost up to 62 k n x n x d pair-temporary elements per chunk in d = 3,
+# 51 k in d = 2 and 50 k in d = 1, and won from 77 k, 74 k and 66 k on; so
+# a pair-temporary element counts as half an element.
 MIN_CHUNK_WORK = 2**15
 
 
 def _step_work(W, sizes, dim: int) -> int:
     """Elements one run's step touches for ensembles of the given sizes:
-    the n x n x d pair temporary when W's mean_grad sums pairs, else the
-    n x d positions."""
-    return sum(n * n * dim if W.sums_pairs else n * dim for n in sizes)
+    half the n x n x d pair temporary when W's mean_grad sums pairs, else
+    the n x d positions."""
+    return sum(n * n * dim // 2 if W.sums_pairs else n * dim for n in sizes)
 
 
 def _chunks(n_runs: int, threads: int, work_per_run: int):
@@ -147,8 +148,11 @@ def simulate_batch(config: SimConfig, runs: int | None = None, threads: int = 1)
     source = BrownianSource(config.seed)
     projected = config.mode == "projected"
     obs = observation_steps(config.observation_times, config.step_policy.dt)
+    out = np.empty((len(obs), runs, config.n, config.dim))
 
     def run_chunk(chunk):
+        # chunks are consecutive runs, so each writes its own basic slice
+        part = out[:, chunk[0]:chunk[-1] + 1]
         streams = [config.stream_for_run(r) for r in chunk]
         x = initial_batch(lambda s: config.initial_law.sample(source, s, config.n, config.dim),
                           streams, projected)
@@ -157,14 +161,12 @@ def simulate_batch(config: SimConfig, runs: int | None = None, threads: int = 1)
             return step_batch(x, config.potential_V, config.potential_W, config.step_policy,
                               source, streams, k, projected)
 
-        out = np.empty((len(obs), len(chunk), config.n, config.dim))
         for slots, x in observation_schedule(obs, x, advance):
-            out[slots] = x
-        return out
+            part[slots] = x
 
     work = _step_work(config.potential_W, [config.n], config.dim)
-    parts = _map_chunks(run_chunk, _chunks(runs, threads, work), threads)
-    return np.asarray(config.observation_times), np.concatenate(parts, axis=1)
+    _map_chunks(run_chunk, _chunks(runs, threads, work), threads)
+    return np.asarray(config.observation_times), out
 
 
 def coupled_batch(config: SimConfig, threads: int = 1):

@@ -58,7 +58,7 @@ class Potential:
 
     @property
     def sums_pairs(self) -> bool:
-        """Whether mean_grad sums all N x M pair gradients; False for the
+        """Whether mean_grad sums over all N x M pairs; False for the
         zero force and for the kinds whose sum expands exactly in the
         moments of the ensemble."""
         return not (self.kind in (QUADRATIC, ZERO)
@@ -94,15 +94,26 @@ class Potential:
         exactly in the moments of y about its mean ybar, in O((N + M) d^2):
         with u = x - ybar, v = y - ybar and S = E[v v^T], p = 4 gives
         4 (|u|^2 u + 2 S u + tr(S) u - E[|v|^2 v]) and the quadratic kind
-        2 kappa u.  The zero kind returns +0.0 without forming pairs.  Every
-        other kind sums all N x M pair gradients.
+        2 kappa u.  The zero kind returns +0.0 without forming pairs.
+
+        Every other kind is radial, grad W(z) = g(|z|^2) z, and is summed
+        over pairs in three steps: the differences z = x_i - y_j, one
+        (..., N, M, d) temporary; the scalar field s = |z|^2, turned in
+        place into the weight g(s), one (..., N, M) temporary; and the
+        contraction sum_j g(s_ij) z_ij, which forms no further temporary.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if self.kind == ZERO:
             return np.zeros(np.broadcast_shapes(x.shape, y[..., :1, :].shape))
         if self.sums_pairs:
-            return self.grad(x[..., :, None, :] - y[..., None, :, :]).mean(axis=-2)
+            # Filled a coordinate at a time, so that each subtraction loops
+            # over the M axis rather than the short d axis.
+            z = np.empty(np.broadcast_shapes(x[..., :, None, :].shape, y[..., None, :, :].shape))
+            for k in range(x.shape[-1]):
+                np.subtract(x[..., :, None, k], y[..., None, :, k], out=z[..., k])
+            w = self._pair_weight(np.einsum("...d,...d->...", z, z))
+            return np.einsum("...nm,...nmd->...nd", w, z) / y.shape[-2]
         # ybar = y_0 + mean(y - y_0) is never formed: u and v are taken
         # from differences to the sample point y_0, so their rounding
         # scales with the spread of y, not with its offset, and they are
@@ -122,6 +133,27 @@ class Potential:
         skew = (vv * v).sum(axis=-2, keepdims=True) / m
         uu = np.sum(u * u, axis=-1, keepdims=True)
         return 4.0 * ((uu + trace) * u + 2.0 * u @ S - skew)
+
+    def _pair_weight(self, s: np.ndarray) -> np.ndarray:
+        """The radial weight g(s) with grad W(z) = g(|z|^2) z, written over
+        s = |z|^2 in place, for the kinds that sum pairs."""
+        if self.kind == POWER_LAW:
+            p = self.params["p"]
+            s **= (p - 2.0) / 2.0
+            s *= p
+            return s
+        if self.kind == UNIFORM_PLUS_BUMP:
+            # 2 kappa - (6 a / rho^2) (1 - s / rho^2)^2 inside the radius and
+            # 2 kappa outside, where the clamp makes the bump term 0.
+            rho = self.params["radius"]
+            s /= rho**2
+            np.subtract(1.0, s, out=s)
+            np.maximum(s, 0.0, out=s)
+            s *= s
+            s *= -6.0 * self.params["amplitude"] / rho**2
+            s += 2.0 * self.params["kappa"]
+            return s
+        raise AssertionError(self.kind)
 
     def value(self, x: np.ndarray) -> np.ndarray:
         """Potential value at x."""
@@ -171,17 +203,20 @@ def uniform_plus_bump(kappa: float, amplitude: float, radius: float, **declared)
 class ConditionReport:
     """Outcome of probing one structural condition on a finite point set.
 
-    worst_violation is the max over probes of (required lower bound -
-    observed value); the condition is deemed satisfied on the probe set
-    when it does not exceed the tolerance.
+    declared_constants are the constants under test, as declared;
+    fitted_constants are those the checker estimates from the probes
+    (only A3 fits any).  worst_violation is the max over probes of
+    (required lower bound - observed value); the condition is deemed
+    satisfied on the probe set when it does not exceed the tolerance.
     """
 
     condition_name: str
-    fitted_constants: dict
+    declared_constants: dict
     worst_violation: float
     probe_count: int
     probe_extent: float
     tolerance: float
+    fitted_constants: dict = field(default_factory=dict)
 
     @property
     def satisfied(self) -> bool:
@@ -190,6 +225,7 @@ class ConditionReport:
     def to_json(self) -> dict:
         return {
             "condition_name": self.condition_name,
+            "declared_constants": dict(self.declared_constants),
             "fitted_constants": dict(self.fitted_constants),
             "worst_violation": self.worst_violation,
             "probe_count": self.probe_count,
@@ -285,7 +321,7 @@ def _check_monotonicity(
     bound = bound_of(np.sum(diff * diff, axis=-1))
     return ConditionReport(
         condition_name=name,
-        fitted_constants=constants,
+        declared_constants=constants,
         worst_violation=float(np.max(bound - dot)),
         probe_count=x.shape[0],
         probe_extent=EXTENT,
@@ -343,11 +379,12 @@ def check_polynomial_growth(potential: Potential, m: int, dim: int = 1) -> Condi
     c_inner = float(np.max(ratio_inner)) if ratio_inner.size else c_full
     return ConditionReport(
         condition_name="A3",
-        fitted_constants={"C_hat": c_full, "C_hat_inner": c_inner, "m": float(m)},
+        declared_constants={"m": float(m)},
         worst_violation=c_full - 1.25 * c_inner,
         probe_count=x.shape[0],
         probe_extent=EXTENT,
         tolerance=default_tolerance(c_full),
+        fitted_constants={"C_hat": c_full, "C_hat_inner": c_inner},
     )
 
 

@@ -22,7 +22,7 @@ from gmsim.dynamics import (
     step_batch,
 )
 from gmsim.experiments import coupled_batch, simulate_batch
-from gmsim.potentials import power_law, quadratic, zero
+from gmsim.potentials import power_law, quadratic, uniform_plus_bump, zero
 from gmsim.rng import BrownianSource
 
 from conftest import make_config
@@ -125,6 +125,76 @@ def test_mean_grad_quartic_against_two_points_closed_form():
     np.testing.assert_allclose(
         W.mean_grad(np.full((1, 1, 1), b), aux), [[[4.0 * (b**3 + 3.0 * a * a * b)]]], rtol=1e-14
     )
+
+
+PAIR_KINDS = (uniform_plus_bump(0.5, 2.0, 1.5), power_law(3.0), power_law(6.0))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(range(len(PAIR_KINDS))),
+    d=st.integers(1, 3),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    n=st.integers(1, 6),
+    m=st.integers(1, 9),
+    offset=st.floats(-1e3, 1e3),
+    spread=st.floats(1e-3, 10.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_mean_grad_pair_path_matches_double_loop(seed, kind, d, batch, n, m, offset, spread):
+    # Spreads on both sides of the bump radius put pairs inside and
+    # outside it; the oracle sums W.grad pair by pair.
+    W = PAIR_KINDS[kind]
+    assert W.sums_pairs
+    gen = np.random.default_rng(seed)
+    x = offset + spread * gen.normal(size=(*batch, n, d))
+    y = offset + spread * gen.normal(size=(*batch, m, d))
+    want = np.empty_like(x)
+    largest = 0.0
+    for idx in np.ndindex(*batch):
+        want[idx] = -naive_drift(x[idx], zero(), W, y[idx])
+        for xi in x[idx]:
+            for yj in y[idx]:
+                largest = max(largest, float(np.max(np.abs(W.grad(xi - yj)))))
+    np.testing.assert_allclose(W.mean_grad(x, y), want, rtol=0, atol=1e-12 * largest)
+
+
+def test_mean_grad_bump_two_particles_closed_form():
+    # kappa = 0.5, amplitude 1, radius 2: grad W(z) = (1 - 1.5 (1 - |z|^2/4)^2) z
+    # inside the radius and z outside.  Run 0's pair sits at distance 1
+    # (weight 1 - 1.5 * 0.75^2 = 0.15625), run 1's at distance 3 (weight 1);
+    # each particle averages its pair force with its own zero force.
+    W = uniform_plus_bump(0.5, 1.0, 2.0)
+    x = np.array([[[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]],
+                  [[0.0, 1.5, 0.0], [0.0, -1.5, 0.0]]])
+    want = [[[0.078125, 0.0, 0.0], [-0.078125, 0.0, 0.0]],
+            [[0.0, 1.5, 0.0], [0.0, -1.5, 0.0]]]
+    np.testing.assert_allclose(W.mean_grad(x, x), want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("W", PAIR_KINDS, ids=lambda W: f"{W.kind}{W.params.get('p', '')}")
+def test_mean_grad_pair_forces_sum_to_zero(rng, W):
+    # Newton's third law: grad W is odd, so with y = x the pair forces
+    # cancel and the mean gradients sum to zero over the particles.
+    x = rng.normal(size=(3, 24, 3)) * 1.5
+    g = W.mean_grad(x, x)
+    scale = np.max(np.abs(g))
+    assert scale > 0
+    np.testing.assert_allclose(g.sum(axis=-2), np.zeros((3, 3)), rtol=0, atol=1e-13 * scale)
+
+
+def test_mean_grad_bump_peak_memory():
+    # One runs x N x N x d difference temporary plus a runs x N x N weight
+    # field; summing W.grad per pair held about 3.7 of those temporaries.
+    x = np.random.default_rng(0).normal(size=(4, 512, 3))
+    W = uniform_plus_bump(1.0, 2.0, 1.5)
+    tracemalloc.start()
+    try:
+        W.mean_grad(x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (4 * 512 * 512 * 3 * 8)
 
 
 def test_mean_grad_zero_forms_no_pairs():

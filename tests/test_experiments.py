@@ -103,10 +103,11 @@ BUMP_W = Potential("uniform_plus_bump", {"kappa": 1.0, "amplitude": 0.7, "radius
 
 def test_chunks_follow_the_work():
     # The moment path touches n x d elements per ensemble, the pairwise
-    # path its n x n x d pair temporary; a zero force forms no pairs.
+    # path its n x n x d pair temporary at half weight; a zero force forms
+    # no pairs.
     assert _step_work(QUARTIC_W, [64], 3) == 64 * 3
     assert _step_work(zero(), [64], 3) == 64 * 3
-    assert _step_work(BUMP_W, [64], 3) == 64 * 64 * 3
+    assert _step_work(BUMP_W, [64], 3) == 64 * 64 * 3 // 2
     # The benchmark's chaos-scan: N in {8, 16, 32, 64}, M = 512, d = 1,
     # 8 runs on 2 threads, too little work per chunk to pool.
     small = _step_work(QUARTIC_W, [512, 256, 8, 16, 32, 64], 1)

@@ -132,7 +132,8 @@ def test_condition_C_concave_well_fails_with_oracle():
 def test_convexity_quadratic_equality():
     # (x-y).(grad W(x)-grad W(y)) = 2 |x-y|^2 exactly for W = |x|^2
     rep = check_convexity_at_infinity(quadratic(1.0), lam=2.0, C=0.0)
-    assert rep.fitted_constants == {"lambda": 2.0, "C": 0.0}
+    assert rep.declared_constants == {"lambda": 2.0, "C": 0.0}
+    assert rep.fitted_constants == {}
     assert rep.satisfied
     assert not check_convexity_at_infinity(quadratic(1.0), lam=2.1, C=0.0).satisfied
 
@@ -165,6 +166,8 @@ def test_condition_checkers_agree_on_quadratic():
 def test_growth_power_law_m3_satisfied():
     rep = check_polynomial_growth(power_law(4.0), m=3)
     assert rep.satisfied
+    assert rep.declared_constants == {"m": 3.0}
+    assert set(rep.fitted_constants) == {"C_hat", "C_hat_inner"}
     assert np.isfinite(rep.fitted_constants["C_hat"])
 
 
@@ -205,7 +208,7 @@ def test_report_json_fields():
     rep = check_condition_C(quadratic(1.0), 2.0, 0.0)
     js = rep.to_json()
     assert set(js) == {
-        "condition_name", "fitted_constants", "worst_violation",
+        "condition_name", "declared_constants", "fitted_constants", "worst_violation",
         "probe_count", "probe_extent", "tolerance", "satisfied",
     }
     assert js["satisfied"] is True
