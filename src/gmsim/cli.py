@@ -72,6 +72,8 @@ def _read_config(path: str) -> SimConfig:
 def _load_config(args) -> SimConfig:
     """The config with the run's seed and output directory, its declared
     conditions checked."""
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     cfg = replace(_read_config(args.config), seed=int(args.seed))
     if args.out:
         cfg = replace(cfg, output_dir=args.out)
@@ -107,29 +109,25 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _finish(cfg, experiment, arguments, result, flags, rows, header) -> int:
+def _finish(cfg, experiment, arguments, result, rows, header) -> int:
     """Write an experiment's summary JSON and CSV series, print the JSON
-    path, and exit 0 exactly when every flag passes.  arguments holds the
-    subcommand's options that change the result; they are hashed with the
-    config."""
+    path, and exit 0 exactly when every flag the harness set in
+    result["flags"] passes.  arguments holds the subcommand's options that
+    change the result; they are hashed with the config."""
     json_path, _ = experiments.write_experiment_outputs(cfg, experiment, arguments, result,
-                                                        flags, rows, header)
+                                                        rows, header)
     print(json_path)
-    return EXIT_OK if all(flags.values()) else EXIT_BOUND
+    return EXIT_OK if all(result["flags"].values()) else EXIT_BOUND
 
 
 def _cmd_decay(args) -> int:
     cfg = _load_config(args)
     res = experiments.decay_experiment(cfg, threads=args.threads)
-    flags = {
-        "monotone": res.monotonicity_defect <= 3.0 * float(np.max(res.xi_stderr)) + 5.0 * cfg.step_policy.dt,
-        "envelope_ok": res.envelope_ok,
-    }
     rows = [
         (float(t), float(v), float(s), "coupled-upper", 2)
         for t, v, s in zip(res.times, res.xi, res.xi_stderr)
     ]
-    return _finish(cfg, "decay", {}, vars(res), flags, rows,
+    return _finish(cfg, "decay", {}, vars(res), rows,
                    ("time", "value", "stderr", "method", "p"))
 
 
@@ -141,18 +139,11 @@ def _cmd_chaos_scan(args) -> int:
     res = experiments.chaos_scan(
         cfg, n_values, args.m_reference, args.runs_per_n, threads=args.threads
     )
-    errs = np.asarray(res.errors)
-    ses = np.asarray(res.stderrs)
-    flags = {
-        "errors_decreasing": bool(np.all(np.diff(errs) <= 2.0 * (ses[:-1] + ses[1:]))),
-        "slope_fast_enough": res.fitted_slope <= res.predicted_slope + 0.15,
-        "proxy_bias_ok": not res.proxy_bias_warning,
-    }
     rows = [
         (n, e, s, "chaos-scan", 2)
         for n, e, s in zip(res.N_values, res.errors, res.stderrs)
     ]
-    return _finish(cfg, "chaos-scan", arguments, vars(res), flags, rows,
+    return _finish(cfg, "chaos-scan", arguments, vars(res), rows,
                    ("N", "value", "stderr", "method", "p"))
 
 
@@ -162,13 +153,11 @@ def _cmd_concentration(args) -> int:
     res = experiments.concentration_suite(
         cfg, f_name=args.function, T=args.time, trials=args.trials, threads=args.threads
     )
-    holds = res.empirical_tail <= res.bound + 1e-12
-    flags = {"bound_holds": bool(np.all(holds[~res.unreliable]))}
     rows = [
         (float(r), float(t), "", "tail", "")
         for r, t in zip(res.r_grid, res.empirical_tail)
     ]
-    return _finish(cfg, "concentration", arguments, vars(res), flags, rows,
+    return _finish(cfg, "concentration", arguments, vars(res), rows,
                    ("r", "value", "stderr", "method", "p"))
 
 
@@ -179,23 +168,18 @@ def _cmd_uniform_moments(args) -> int:
         (float(t), v, s, "moment", series.order_2k)
         for t, v, s in zip(series.times, series.values, series.stderr)
     ]
-    return _finish(cfg, "uniform-moments", {}, {**vars(series), **info},
-                   {"zero_trend": info["accepted"]}, rows, ("time", "value", "stderr", "method", "p"))
+    return _finish(cfg, "uniform-moments", {}, {**vars(series), **info}, rows,
+                   ("time", "value", "stderr", "method", "p"))
 
 
 def _cmd_exp_square_moment(args) -> int:
     cfg = _load_config(args)
     series, info = experiments.exp_square_moment_experiment(cfg, threads=args.threads)
-    est, se, closed = np.asarray(series.values), np.asarray(series.stderr), info["closed_form"]
-    flags = {
-        "closed_form_ok": bool(np.all(np.abs(est - closed) <= 3.0 * se)),
-        "below_bound": bool(np.all(est < info["bound"])),
-    }
     rows = [
         (float(t), v, s, float(c), info["bound"])
-        for t, v, s, c in zip(series.times, series.values, series.stderr, closed)
+        for t, v, s, c in zip(series.times, series.values, series.stderr, info["closed_form"])
     ]
-    return _finish(cfg, "exp-square-moment", {}, {**vars(series), **info}, flags, rows,
+    return _finish(cfg, "exp-square-moment", {}, {**vars(series), **info}, rows,
                    ("time", "value", "stderr", "closed_form", "bound"))
 
 

@@ -3,9 +3,9 @@ propagation-of-chaos scan against a mean-field proxy, uniform moment
 tracking, the exponential square-moment benchmark, and the
 concentration/deviation suite.
 
-Each harness returns its series and fitted constants; the CLI derives the
-pass/fail flags and writes them with write_experiment_outputs as a JSON
-summary plus a CSV series named `<experiment>-<confighash>`.
+Each harness returns its series, fitted constants and pass/fail flags;
+write_experiment_outputs writes them as a JSON summary plus a CSV series
+named `<experiment>-<confighash>`.
 """
 
 from __future__ import annotations
@@ -219,6 +219,7 @@ class DecayResult:
     envelope_ok: bool
     first_violation_time: float | None
     runs: int
+    flags: dict
     fit_windows: dict = field(default_factory=dict)
 
 
@@ -257,6 +258,7 @@ def decay_experiment(config: SimConfig, threads: int = 1) -> DecayResult:
     else:
         env_ok = True
         first_bad = None
+    monotone = defect <= 3.0 * float(np.max(se)) + 5.0 * config.step_policy.dt
     return DecayResult(
         times=times,
         xi=xi,
@@ -271,6 +273,7 @@ def decay_experiment(config: SimConfig, threads: int = 1) -> DecayResult:
         envelope_ok=env_ok,
         first_violation_time=first_bad,
         runs=runs,
+        flags={"monotone": monotone, "envelope_ok": env_ok},
         fit_windows={
             "tail_from": float(times[tail_window][0]) if np.any(tail_window) else None,
             "exp_until": float(times[left_out[0]]) if left_out.size else None,
@@ -302,6 +305,7 @@ class ChaosScanResult:
     runs_per_N: int
     proxy_bias_warning: bool
     proxy_bias_ratio: float
+    flags: dict
 
 
 def _chaos_walk(config, source, chunk, N_values, M_reference, obs):
@@ -362,10 +366,10 @@ def chaos_scan(
     M_reference.  Fits the log-log slope of the error against N, and checks
     the proxy's bias against a second ensemble of size M_reference / 2."""
     N_values = sorted(int(n) for n in N_values)
-    if len(set(N_values)) < 2 or runs_per_N < 2:
+    if len(set(N_values)) < 2 or N_values[0] < 2 or runs_per_N < 2:
         raise ValueError(
-            "chaos_scan needs at least two distinct N values (a slope) and "
-            "runs_per_N >= 2 (a standard error)"
+            "chaos_scan needs at least two distinct N values, each >= 2 (a slope), "
+            "and runs_per_N >= 2 (a standard error)"
         )
     if M_reference < 8 * max(N_values):
         raise ValueError("M_reference must be at least 8 * max(N_values)")
@@ -399,18 +403,23 @@ def chaos_scan(
     logn = np.log(np.asarray(N_values, float))
     loge = np.log(np.asarray(errors))
     slope, intercept = np.polyfit(logn, loge, 1)
+    slope, predicted = float(slope), -1.0 / (1.0 + alpha)
+    ses, bias_warning = np.asarray(stderrs), bias_ratio >= 0.2
     return ChaosScanResult(
         N_values=list(N_values),
         errors=errors,
         stderrs=stderrs,
         worst_times=worst_times,
-        fitted_slope=float(slope),
-        predicted_slope=-1.0 / (1.0 + alpha),
+        fitted_slope=slope,
+        predicted_slope=predicted,
         K_fitted=float(np.exp(intercept)),
         M_reference=M_reference,
         runs_per_N=runs_per_N,
-        proxy_bias_warning=bias_ratio >= 0.2,
+        proxy_bias_warning=bias_warning,
         proxy_bias_ratio=float(bias_ratio),
+        flags={"errors_decreasing": bool(np.all(np.diff(errors) <= 2.0 * (ses[:-1] + ses[1:]))),
+               "slope_fast_enough": slope <= predicted + 0.15,
+               "proxy_bias_ok": not bias_warning},
     )
 
 
@@ -432,13 +441,14 @@ def uniform_moment_experiment(config: SimConfig, threads: int = 1):
     slope, se = fit_linear_trend(times[half], np.asarray(series.values)[half])
     df = int(half.sum()) - 2
     crit = float(stdtrit(df, 0.975))
-    accepted = abs(slope) <= crit * se
+    accepted = bool(abs(slope) <= crit * se)
     return series, {
         "slope": slope,
         "slope_stderr": se,
         "t_critical": crit,
-        "accepted": bool(accepted),
+        "accepted": accepted,
         "window_from": float(times[half][0]),
+        "flags": {"zero_trend": accepted},
     }
 
 
@@ -475,9 +485,13 @@ def exp_square_moment_experiment(config: SimConfig, delta: float = 0.1, threads:
     series = exp_square_moment(sq, delta, times=list(times))
     kappa = V.params["kappa"]
     spread = (1.0 - np.exp(-4.0 * kappa * times)) / kappa
+    closed = (1.0 - 2.0 * delta * spread) ** (-config.dim / 2.0)
+    est, se = np.asarray(series.values), np.asarray(series.stderr)
     return series, {
-        "closed_form": (1.0 - 2.0 * delta * spread) ** (-config.dim / 2.0),
+        "closed_form": closed,
         "bound": float(bound),
+        "flags": {"closed_form_ok": bool(np.all(np.abs(est - closed) <= 3.0 * se)),
+                  "below_bound": bool(np.all(est < float(bound)))},
     }
 
 
@@ -504,6 +518,7 @@ class ConcentrationResult:
     unreliable: np.ndarray
     trials: int
     T: float
+    flags: dict
 
 
 def pipeline_t1_constant(config: SimConfig) -> float:
@@ -536,8 +551,9 @@ def concentration_suite(
     declared lambda > 0 on potential_W; without one nothing is simulated."""
     if f_name not in LIPSCHITZ_FUNCTIONS:
         raise ValueError(f"unknown test function {f_name!r}")
-    if trials < 200 and f_name != "constant":
-        raise ValueError("trials must be >= 200 for a usable tail estimate")
+    least_trials = 1 if f_name == "constant" else 200
+    if trials < least_trials:
+        raise ValueError(f"trials must be >= {least_trials} for a usable tail estimate")
     T = config.horizon if T is None else T
     errors = observation_time_errors((T,), config.horizon, config.step_policy.dt)
     if errors:
@@ -561,11 +577,12 @@ def concentration_suite(
         c_fitted = float(np.max(cfg.n * r_grid[usable] ** 2 / (-np.log(tail[usable]))))
     else:
         c_fitted = float("nan")
+    bound = np.exp(-cfg.n * r_grid**2 / c_pipeline)
     return ConcentrationResult(
         n=cfg.n,
         r_grid=r_grid,
         empirical_tail=tail,
-        bound=np.exp(-cfg.n * r_grid**2 / c_pipeline),
+        bound=bound,
         c_fitted=c_fitted,
         c_pipeline=c_pipeline,
         c_fitted_over_pipeline=c_fitted / c_pipeline,
@@ -573,6 +590,7 @@ def concentration_suite(
         unreliable=unreliable,
         trials=trials,
         T=T,
+        flags={"bound_holds": bool(np.all((tail <= bound + 1e-12)[~unreliable]))},
     )
 
 
@@ -580,10 +598,10 @@ def concentration_suite(
 # summaries
 
 def write_experiment_outputs(config: SimConfig, experiment: str, arguments: dict, result,
-                             flags: dict, series_rows, series_header):
-    """JSON summary (fitted constants, flags, config echo, the experiment's
-    arguments and the hash of config and arguments) plus the CSV time
-    series; returns the two paths."""
+                             series_rows, series_header):
+    """JSON summary (fitted constants, the flags lifted out of result,
+    config echo, the experiment's arguments and the hash of config and
+    arguments) plus the CSV time series; returns the two paths."""
     h = config_hash(config, arguments)
     json_path, csv_path = gio.experiment_paths(config.output_dir, experiment, h)
     summary = {
@@ -591,8 +609,8 @@ def write_experiment_outputs(config: SimConfig, experiment: str, arguments: dict
         "config_hash": h,
         "config_echo": canonical_text(config),
         "arguments": arguments,
-        "flags": {k: bool(v) for k, v in flags.items()},
-        "result": result,
+        "flags": {k: bool(v) for k, v in result["flags"].items()},
+        "result": {k: v for k, v in result.items() if k != "flags"},
     }
     gio.write_summary(json_path, summary)
     gio.write_series_csv(csv_path, series_header, series_rows)

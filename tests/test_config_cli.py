@@ -21,6 +21,7 @@ from gmsim.config import (
     validate_potentials,
 )
 from gmsim.dynamics import observation_steps
+from gmsim.metrics import ExpSquareMomentSeries, MomentSeries
 from gmsim.rng import BrownianSource
 
 from conftest import config_text, make_config
@@ -295,6 +296,18 @@ def test_cli_sampled_potential_kind_is_unknown(tmp_path, capsys):
     assert err == "config error: [potential_W] unknown potential kind 'sampled'\n"
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, output={"dir": str(out)})
+    assert run_cli(["simulate", "--config", path, "--seed", "1",
+                    "--threads", threads]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --threads must be >= 1, got {threads}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_config_errors_exit_usage(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("[dynamics]\nn = 1\n")
@@ -426,21 +439,51 @@ def test_cli_uniform_and_exp_square_moments_reach_report(tmp_path, capsys):
     assert "closed_form_ok=pass" in report and "below_bound=pass" in report
 
 
-def test_cli_chaos_scan_proxy_bias_exits_bound(tmp_path, capsys, monkeypatch):
-    def biased_scan(config, N_values, M_reference, runs_per_N, threads=1):
-        return experiments.ChaosScanResult(
+def _one_failing_flag(command):
+    """The harness command calls, a result as that harness returns it, and
+    the result's flags, of which only the last fails."""
+    pair, tail = np.array([0.0, 1.0]), np.array([0.2, 0.1])
+    if command == "decay":
+        flags = {"monotone": True, "envelope_ok": False}
+        return "decay_experiment", experiments.DecayResult(
+            times=pair, xi=tail, xi_stderr=tail / 10, A_alpha=1.0, B_alpha=0.5, t1_bound=0.0,
+            t1_empirical=0.0, tail_slope=-1.0, exp_rate=1.0, monotonicity_defect=0.0,
+            envelope_ok=False, first_violation_time=1.0, runs=2, flags=flags), flags
+    if command == "chaos-scan":
+        flags = {"errors_decreasing": True, "slope_fast_enough": True, "proxy_bias_ok": False}
+        return "chaos_scan", experiments.ChaosScanResult(
             N_values=[8, 16], errors=[0.2, 0.1], stderrs=[0.01, 0.01], worst_times=[0.0, 0.0],
-            fitted_slope=-1.0, predicted_slope=-1.0 / 3.0, K_fitted=1.0,
-            M_reference=M_reference, runs_per_N=runs_per_N,
-            proxy_bias_warning=True, proxy_bias_ratio=0.5,
-        )
+            fitted_slope=-1.0, predicted_slope=-1.0 / 3.0, K_fitted=1.0, M_reference=512,
+            runs_per_N=32, proxy_bias_warning=True, proxy_bias_ratio=0.5, flags=flags), flags
+    if command == "concentration":
+        flags = {"bound_holds": False}
+        return "concentration_suite", experiments.ConcentrationResult(
+            n=8, r_grid=pair + 0.5, empirical_tail=tail, bound=tail / 2, c_fitted=1.0,
+            c_pipeline=0.5, c_fitted_over_pipeline=2.0, lipschitz_f="coordinate",
+            unreliable=np.array([False, False]), trials=400, T=1.0, flags=flags), flags
+    if command == "uniform-moments":
+        flags = {"zero_trend": False}
+        series = MomentSeries(times=[0.0, 1.0], order_2k=2, values=[1.0, 1.5],
+                              stderr=[0.1, 0.1])
+        return "uniform_moment_experiment", (series, {"accepted": False, "flags": flags}), flags
+    flags = {"closed_form_ok": True, "below_bound": False}
+    series = ExpSquareMomentSeries(times=[0.5, 1.0], delta=0.1, values=[1.2, 1.3],
+                                   stderr=[0.01, 0.01], heavy_tail_flags=[False, False])
+    info = {"closed_form": np.array([1.2, 1.3]), "bound": 1.25, "flags": flags}
+    return "exp_square_moment_experiment", (series, info), flags
 
-    monkeypatch.setattr(experiments, "chaos_scan", biased_scan)
+
+@pytest.mark.parametrize("command", ["decay", "chaos-scan", "concentration", "uniform-moments",
+                                     "exp-square-moment"])
+def test_cli_one_failing_flag_exits_bound(tmp_path, capsys, monkeypatch, command):
+    # The handler writes the harness's flags as they are and exits 2 on any failing one.
+    harness, result, flags = _one_failing_flag(command)
+    monkeypatch.setattr(experiments, harness, lambda config, *args, **kwargs: result)
     path = write_cfg(tmp_path, output={"dir": str(tmp_path / "out")})
-    assert run_cli(["chaos-scan", "--config", path, "--seed", "1"]) == EXIT_BOUND
+    assert run_cli([command, "--config", path, "--seed", "1"]) == EXIT_BOUND
     summary = json.loads(open(capsys.readouterr().out.strip()).read())
-    assert summary["flags"] == {"errors_decreasing": True, "slope_fast_enough": True,
-                                "proxy_bias_ok": False}
+    assert summary["flags"] == flags
+    assert "flags" not in summary["result"]
 
 
 def test_cli_summary_is_strict_json_with_null_for_non_finite(tmp_path, capsys):
@@ -486,7 +529,11 @@ def test_cli_chaos_scans_with_different_n_values_keep_both_summaries(tmp_path, c
 
 @pytest.mark.parametrize("argv", [["--n-values", "8", "--runs-per-n", "4"],
                                   ["--n-values", "4,8", "--runs-per-n", "1"],
-                                  ["--n-values", "8,8", "--runs-per-n", "4"]])
+                                  ["--n-values", "8,8", "--runs-per-n", "4"],
+                                  # a 1-particle projected system is pinned at 0
+                                  ["--n-values", "1,8", "--runs-per-n", "4"],
+                                  ["--n-values", "0,8", "--runs-per-n", "4"],
+                                  ["--n-values=-4,8", "--runs-per-n", "4"]])
 def test_cli_chaos_scan_without_a_verdict_is_a_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
     path = _small_chaos_cfg(tmp_path, out)
@@ -515,8 +562,7 @@ def test_cli_concentration_fails_against_an_over_declared_lambda(tmp_path, capsy
     # the run the load-time check refuses, on the parsed config as is
     cfg = replace(parse_config(Path(path).read_text()), seed=4)
     res = experiments.concentration_suite(cfg, trials=200)
-    holds = res.empirical_tail <= res.bound + 1e-12
-    assert not np.all(holds[~res.unreliable])  # bound_holds = False
+    assert res.flags == {"bound_holds": False}
     assert res.c_pipeline < 1.0 < res.c_fitted
     assert res.c_fitted_over_pipeline == pytest.approx(res.c_fitted / res.c_pipeline)
     assert (res.lipschitz_f, res.trials, res.T) == ("coordinate", 200, cfg.horizon)

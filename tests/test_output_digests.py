@@ -1,0 +1,30 @@
+"""tools/output_digests.py: the per-invocation digests two trees are compared by."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("output_digests",
+                                               ROOT / "tools" / "output_digests.py")
+output_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(output_digests)
+
+
+def test_invocations_cover_every_subcommand_per_thread_count():
+    cmds = list(output_digests.invocations(["a.cfg"], 3, [1, 2]))
+    assert len(cmds) == 1 + 2 * 7
+    assert cmds[0] == ["check-potential", "--config", "a.cfg"]
+    assert {c[0] for c in cmds} == {"check-potential", "simulate",
+                                    *output_digests.EXPERIMENTS}
+    assert ["simulate", "--config", "a.cfg", "--seed", "3", "--threads", "2",
+            "--positions"] in cmds
+
+
+def test_digest_does_not_depend_on_the_output_directory():
+    # simulate prints its output path; each run writes into its own directory
+    argv = ["simulate", "--config", "configs/simulate_small.cfg", "--seed", "3"]
+    first, second = (output_digests.digest(ROOT, argv) for _ in range(2))
+    assert first == second
+    code, lines = first
+    assert code == 0 and lines[0] == " ".join(argv) + ": exit 0"
+    assert any(line.startswith("  simulate-") for line in lines[3:])
