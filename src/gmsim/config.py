@@ -186,12 +186,14 @@ def _build_potential(sec: dict, errors: list, where: str):
     return potentials.zero()
 
 
-def _build_law(sec: dict, errors: list, where: str) -> InitialLaw:
+def _build_law(sec: dict, errors: list, where: str, dim: int) -> InitialLaw:
+    """The law of sec; its kind's fields, those _law_items renders, are
+    checked against dim and their ranges."""
     kind = str(sec.get("kind", "gaussian"))
     if kind not in LAW_KINDS:
         hint = _did_you_mean(kind, LAW_KINDS)
         errors.append(f"[{where}] unknown initial law kind {kind!r}{hint}")
-    return InitialLaw(
+    law = InitialLaw(
         kind=kind,
         mean=_numbers(sec, "mean", (0.0,), errors, where),
         sigma=_number(sec, "sigma", 1.0, errors, where),
@@ -200,6 +202,15 @@ def _build_law(sec: dict, errors: list, where: str) -> InitialLaw:
         point_b=_numbers(sec, "point_b", (1.0,), errors, where),
         weight=_number(sec, "weight", 0.5, errors, where),
     )
+    for key, value in _law_items(law)[1:]:
+        if isinstance(value, tuple):
+            if len(value) not in (1, dim):
+                errors.append(f"[{where}] {key} must have 1 or dim = {dim} entries, "
+                              f"got {len(value)}")
+        elif not 0.0 <= value <= (1.0 if key == "weight" else math.inf):
+            rule = "in [0, 1]" if key == "weight" else ">= 0"
+            errors.append(f"[{where}] {key} must be {rule}, got {value!r}")
+    return law
 
 
 def _observation_times(exp: dict, horizon: float, dt: float, errors: list):
@@ -290,8 +301,9 @@ def parse_config(text: str) -> SimConfig:
     if runs < 1:
         errors.append("[experiment] runs must be >= 1")
 
-    law = _build_law(tree.get("initial_law", {}), errors, "initial_law")
-    law_b = _build_law(tree["initial_law_b"], errors, "initial_law_b") if "initial_law_b" in tree else None
+    law = _build_law(tree.get("initial_law", {}), errors, "initial_law", dim)
+    law_b = (_build_law(tree["initial_law_b"], errors, "initial_law_b", dim)
+             if "initial_law_b" in tree else None)
 
     out = tree.get("output", {})
     out_dir = str(out.get("dir", "out"))

@@ -46,8 +46,10 @@ class InitialLaw:
     """Initial distribution for the particle positions.
 
     kinds (LAW_KINDS): gaussian (mean, sigma), uniform (half_width),
-    two_point (point_a, point_b, weight).  Projected runs recentre the draw
-    through initial_batch.
+    two_point (point_a, point_b, weight).  sample draws one ensemble
+    (n, dim) for one stream, or a batch (runs, n, dim) for a list of
+    streams in one call on the source, row r bit-identical to the draw of
+    streams[r] alone.  Projected runs recentre the draw with project.
     """
 
     kind: str = "gaussian"
@@ -58,21 +60,21 @@ class InitialLaw:
     point_b: tuple = (1.0,)
     weight: float = 0.5
 
-    def sample(self, source: BrownianSource, stream: int, n: int, dim: int) -> np.ndarray:
+    def sample(self, source: BrownianSource, stream, n: int, dim: int) -> np.ndarray:
+        shape = (n, dim) if np.ndim(stream) == 0 else (len(stream), n, dim)
         if self.kind == "gaussian":
-            xi = source.normals(stream, INIT_STEP, n * dim).reshape(n, dim)
-            x = np.broadcast_to(np.asarray(self.mean, float), (n, dim)) + self.sigma * xi
+            xi = source.normals(stream, INIT_STEP, n * dim).reshape(shape)
+            x = np.asarray(self.mean, float) + self.sigma * xi
         elif self.kind == "uniform":
-            u = source.uniforms(stream, INIT_STEP, n * dim).reshape(n, dim)
+            u = source.uniforms(stream, INIT_STEP, n * dim).reshape(shape)
             x = (2.0 * u - 1.0) * self.half_width
         elif self.kind == "two_point":
-            u = source.uniforms(stream, INIT_STEP, n).reshape(n, 1)
-            a = np.broadcast_to(np.asarray(self.point_a, float), (n, dim))
-            b = np.broadcast_to(np.asarray(self.point_b, float), (n, dim))
-            x = np.where(u < self.weight, a, b).astype(float)
+            u = source.uniforms(stream, INIT_STEP, n).reshape(shape[:-1] + (1,))
+            x = np.where(u < self.weight, np.asarray(self.point_a, float),
+                         np.asarray(self.point_b, float))
         else:
             raise ValueError(f"unknown initial law kind {self.kind!r}")
-        return np.array(x, dtype=float)
+        return np.broadcast_to(x, shape).astype(float)
 
 
 def drift(positions: np.ndarray, V: Potential, W: Potential) -> np.ndarray:
@@ -106,15 +108,6 @@ def project(x: np.ndarray) -> np.ndarray:
     the zero-mean hyperplane, of positions or of the increments, where it
     realizes the projected system's driving noise sqrt(2)(dB^i - mean_j dB^j)."""
     return x - x.mean(axis=-2, keepdims=True)
-
-
-def initial_batch(draw, streams, projected: bool = False) -> np.ndarray:
-    """Initial state of a batch of runs: draw(stream) for each run's
-    stream, stacked on a run axis in front of the (N, d) axes and projected
-    in projected mode.  When draw returns a coupled pair of ensembles, the
-    pair axis leads: (2, runs, N, d)."""
-    x = np.stack([draw(s) for s in streams], axis=-3)
-    return project(x) if projected else x
 
 
 def apply_scheme(

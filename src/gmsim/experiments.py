@@ -24,7 +24,6 @@ from .dynamics import (
     couple_initial,
     drift,
     apply_scheme,
-    initial_batch,
     observation_schedule,
     observation_steps,
     project,
@@ -154,8 +153,8 @@ def simulate_batch(config: SimConfig, runs: int | None = None, threads: int = 1)
         # chunks are consecutive runs, so each writes its own basic slice
         part = out[:, chunk[0]:chunk[-1] + 1]
         streams = [config.stream_for_run(r) for r in chunk]
-        x = initial_batch(lambda s: config.initial_law.sample(source, s, config.n, config.dim),
-                          streams, projected)
+        x = config.initial_law.sample(source, streams, config.n, config.dim)
+        x = project(x) if projected else x
 
         def advance(x, k):
             return step_batch(x, config.potential_V, config.potential_W, config.step_policy,
@@ -180,12 +179,12 @@ def coupled_batch(config: SimConfig, threads: int = 1):
 
     def run_chunk(chunk):
         streams = [config.stream_for_run(r) for r in chunk]
-        pair = initial_batch(
-            lambda s: couple_initial(
-                config.initial_law.sample(source, s, n, dim),
-                config.initial_law_b.sample(source, s + config.PARTNER_STREAM, n, dim)),
-            streams, projected,
-        )
+        xa = config.initial_law.sample(source, streams, n, dim)
+        xb = config.initial_law_b.sample(
+            source, [config.stream_for_run(r, config.PARTNER_STREAM) for r in chunk], n, dim)
+        # the pair axis leads: (2, runs, N, d)
+        pair = np.stack([couple_initial(a, b) for a, b in zip(xa, xb)], axis=1)
+        pair = project(pair) if projected else pair
 
         def advance(pair, k):
             return step_batch(pair, config.potential_V, config.potential_W,
@@ -325,10 +324,6 @@ def _chaos_walk(config, source, chunk, N_values, M_reference, obs):
     aux_streams = [[config.stream_for_run(r, role) for r in chunk]
                    for role in (config.AUX_STREAM, config.HALF_AUX_STREAM)]
 
-    def draw(n, ss, projected=True):
-        return initial_batch(lambda s: config.initial_law.sample(source, s, n, dim), ss,
-                             projected)
-
     def advance(state, k):
         ensembles, systems, proxies = state
         bx = [-W.mean_grad(xbar, aux) for xbar, aux in zip(proxies, ensembles)]
@@ -342,8 +337,9 @@ def _chaos_walk(config, source, chunk, N_values, M_reference, obs):
                    for xbar, b in zip(proxies, bx)]
         return ensembles, systems, proxies
 
-    ensembles = [draw(m, ss) for m, ss in zip((M_reference, M_reference // 2), aux_streams)]
-    x0 = draw(N_values[-1], streams, projected=False)
+    ensembles = [project(config.initial_law.sample(source, ss, m, dim))
+                 for m, ss in zip((M_reference, M_reference // 2), aux_streams)]
+    x0 = config.initial_law.sample(source, streams, N_values[-1], dim)
     state = (ensembles, [project(x0[:, :n]) for n in N_values], [x0[:, :1]] * 2)
     err = np.empty((len(N_values) + 1, len(obs), len(chunk)))
     for slots, (_, systems, (xbar, xbar_half)) in observation_schedule(obs, state, advance):

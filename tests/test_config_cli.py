@@ -147,6 +147,27 @@ def test_removed_and_unknown_inputs_are_one_report_line_each():
         assert sum(frag in e for e in errors) == 1, frag
 
 
+@pytest.mark.parametrize("section, law, error", [
+    ("initial_law", {"mean": "1.0,2.0,3.0"},
+     "[initial_law] mean must have 1 or dim = 2 entries, got 3"),
+    ("initial_law", {"sigma": -1.0}, "[initial_law] sigma must be >= 0, got -1.0"),
+    ("initial_law", {"kind": "uniform", "half_width": -0.5},
+     "[initial_law] half_width must be >= 0, got -0.5"),
+    ("initial_law_b", {"kind": "two_point", "point_b": "0.0,1.0,2.0"},
+     "[initial_law_b] point_b must have 1 or dim = 2 entries, got 3"),
+    ("initial_law_b", {"kind": "two_point", "point_a": "1.0,2.0", "weight": 1.5},
+     "[initial_law_b] weight must be in [0, 1], got 1.5"),
+    ("initial_law_b", {"kind": "two_point", "weight": -0.25},
+     "[initial_law_b] weight must be in [0, 1], got -0.25"),
+])
+def test_bad_initial_law_fields_are_rejected_at_load(section, law, error):
+    # Only the fields of the law's kind are checked: the default sigma of
+    # the two_point laws is not rendered and not in the way.
+    with pytest.raises(ConfigError) as exc:
+        make_config(dynamics={"dim": 2}, experiment={"runs": 0}, **{section: law})
+    assert exc.value.errors == ["[experiment] runs must be >= 1", error]
+
+
 def test_obs_stride_generates_grid():
     cfg = make_config(experiment={"obs_times": None, "obs_stride": 0.25,
                                   "obs_count": 5, "horizon": 1.0})

@@ -28,19 +28,35 @@ from gmsim.rng import BrownianSource
 from conftest import make_config
 
 
+def closed_form_grad(W, z):
+    """grad W(z) at one point z, written out per kind: the oracle for the
+    moment expansion and the pair weight, which compute every gradient
+    the package steps with."""
+    if W.kind == "quadratic":
+        return 2.0 * W.params["kappa"] * z
+    r = np.linalg.norm(z)
+    if W.kind == "power_law":
+        return W.params["p"] * r ** (W.params["p"] - 2.0) * z
+    # kappa |z|^2 + a (1 - |z|^2 / rho^2)^3 inside the radius rho
+    kappa, a, rho = (W.params[k] for k in ("kappa", "amplitude", "radius"))
+    bump = -6.0 * a / rho**2 * (1.0 - r * r / rho**2) ** 2 if r < rho else 0.0
+    return (2.0 * kappa + bump) * z
+
+
 def naive_drift(x, V, W, y=None):
-    """Oracle: direct double loop over particles, the interaction averaged
-    over the M points of y (by default the particles themselves)."""
+    """Oracle: direct double loop over particles of the closed-form
+    gradients, the interaction averaged over the M points of y (by default
+    the particles themselves)."""
     y = x if y is None else y
     n, d = x.shape
     out = np.zeros_like(x)
     for i in range(n):
         acc = np.zeros(d)
         for j in range(y.shape[0]):
-            acc += W.grad(x[i] - y[j])
+            acc += closed_form_grad(W, x[i] - y[j])
         out[i] = -acc / y.shape[0]
         if not V.is_zero:
-            out[i] -= V.grad(x[i])
+            out[i] -= closed_form_grad(V, x[i])
     return out
 
 
@@ -111,7 +127,7 @@ def test_mean_grad_moment_path_matches_double_loop(seed, kind, d, batch, n, m, o
         want[idx] = -naive_drift(x[idx], zero(), W, y[idx])
         for xi in x[idx]:
             for yj in y[idx]:
-                largest = max(largest, float(np.max(np.abs(W.grad(xi - yj)))))
+                largest = max(largest, float(np.max(np.abs(closed_form_grad(W, xi - yj)))))
     np.testing.assert_allclose(W.mean_grad(x, y), want, rtol=0, atol=1e-12 * largest)
 
 
@@ -143,7 +159,7 @@ PAIR_KINDS = (uniform_plus_bump(0.5, 2.0, 1.5), power_law(3.0), power_law(6.0))
 @settings(max_examples=80, deadline=None)
 def test_mean_grad_pair_path_matches_double_loop(seed, kind, d, batch, n, m, offset, spread):
     # Spreads on both sides of the bump radius put pairs inside and
-    # outside it; the oracle sums W.grad pair by pair.
+    # outside it; the oracle sums the closed-form gradient pair by pair.
     W = PAIR_KINDS[kind]
     assert W.sums_pairs
     gen = np.random.default_rng(seed)
@@ -155,7 +171,7 @@ def test_mean_grad_pair_path_matches_double_loop(seed, kind, d, batch, n, m, off
         want[idx] = -naive_drift(x[idx], zero(), W, y[idx])
         for xi in x[idx]:
             for yj in y[idx]:
-                largest = max(largest, float(np.max(np.abs(W.grad(xi - yj)))))
+                largest = max(largest, float(np.max(np.abs(closed_form_grad(W, xi - yj)))))
     np.testing.assert_allclose(W.mean_grad(x, y), want, rtol=0, atol=1e-12 * largest)
 
 
@@ -385,6 +401,18 @@ def test_first_particle_draws_are_the_same_for_every_n(kind, d):
         full = batch_noise(src, streams, k, 17, d)
         for n in (1, 2, 16):
             np.testing.assert_array_equal(batch_noise(src, streams, k, n, d), full[:, :n])
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("full", [False, True], ids=["one_entry", "d_entries"])
+def test_batched_draw_stacks_the_draws_of_each_stream(kind, d, full):
+    point = tuple(0.5 + np.arange(d if full else 1))
+    law = InitialLaw(kind=kind, mean=point, sigma=0.7, half_width=1.5, point_a=point,
+                     point_b=tuple(-p for p in point), weight=0.3)
+    src, streams = BrownianSource(9), [0, 1, 8, 41]
+    want = np.stack([law.sample(src, s, 5, d) for s in streams])
+    np.testing.assert_array_equal(law.sample(src, streams, 5, d), want)
 
 
 def test_couple_initial_comonotone_sorts():

@@ -69,7 +69,8 @@ def test_power_law_exponent_below_two_rejected():
 def test_finite_difference_order_two():
     # central difference of value() vs grad(): error slope ~ h^2
     hs = np.array([1e-1, 1e-2, 1e-3])
-    for pot in (power_law(4.0), uniform_plus_bump(1.0, 0.7, 2.0)):
+    for pot in (power_law(3.0), power_law(4.0), power_law(6.0),
+                uniform_plus_bump(1.0, 0.7, 2.0)):
         x = np.array([1.3, -0.6])
         e = np.zeros(2)
         e[0] = 1.0
@@ -193,6 +194,22 @@ def test_growth_clamp_needs_linear_factor_even_for_quadratic():
     # with the (|x-y| ^ 1) clamp, a globally Lipschitz gradient still needs
     # m >= 1 to cover widely separated pairs
     assert not check_polynomial_growth(quadratic(1.0), m=0).satisfied
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("pot, m", [
+    (quadratic(1.0), 1),
+    (uniform_plus_bump(1.0, 0.7, 2.0), 1),
+    (power_law(3.0), 2),
+    (power_law(4.0), 3),
+    (power_law(6.0), 5),
+], ids=["quadratic", "bump", "p3", "p4", "p6"])
+def test_growth_accepts_the_true_degree_and_rejects_one_less(pot, m, dim):
+    # |grad W(x) - grad W(y)| grows like |x|^(p-1) |x-y| for |x|^p, and
+    # like |x-y| for a gradient that is Lipschitz; the verdict must not
+    # depend on the dimension the pairs are probed in.
+    assert check_polynomial_growth(pot, m, dim).satisfied
+    assert not check_polynomial_growth(pot, m - 1, dim).satisfied
 
 
 # ---------------------------------------------------------------------------
