@@ -134,22 +134,26 @@ def _is_number(v) -> bool:
 
 def _number(sec: dict, key: str, default, errors: list, where: str, cast=float):
     """sec[key] (or default when absent) cast to a number; a value that is
-    not one adds an error naming section and key and yields default."""
+    not a finite number adds an error naming section and key and yields
+    default."""
     raw = sec.get(key, default)
-    if _is_number(raw):
+    if _is_number(raw) and math.isfinite(raw):
         return cast(raw)
-    errors.append(f"[{where}] {key} must be a number, got {_fmt(raw)!r}")
+    rule = "finite" if _is_number(raw) else "a number"
+    errors.append(f"[{where}] {key} must be {rule}, got {_fmt(raw)!r}")
     return default
 
 
 def _numbers(sec: dict, key: str, default, errors: list, where: str):
     """sec[key] (or default when absent) as a tuple of floats, a scalar
-    being a list of one; as _number for an entry that is not a number."""
+    being a list of one; as _number for an entry that is not a finite
+    number."""
     raw = sec.get(key, default)
     vals = raw if isinstance(raw, tuple) else (raw,)
-    if all(_is_number(v) for v in vals):
+    if all(_is_number(v) and math.isfinite(v) for v in vals):
         return tuple(float(v) for v in vals)
-    errors.append(f"[{where}] {key} must be a list of numbers, got {_fmt(raw)!r}")
+    rule = "finite numbers" if all(_is_number(v) for v in vals) else "numbers"
+    errors.append(f"[{where}] {key} must be a list of {rule}, got {_fmt(raw)!r}")
     return default
 
 
@@ -282,8 +286,9 @@ def parse_config(text: str) -> SimConfig:
     policy_ok = len(errors) == reported
 
     exp = tree.get("experiment", {})
+    reported = len(errors)
     horizon = _number(exp, "horizon", 1.0, errors, "experiment")
-    horizon_ok = _is_number(exp.get("horizon", 1.0))  # else reported as not a number
+    horizon_ok = len(errors) == reported  # else reported as not a finite number
     if horizon <= 0:
         errors.append("[experiment] horizon must be > 0")
     obs = _observation_times(exp, horizon, policy.dt, errors)

@@ -2,12 +2,15 @@
 drift taming, the zero-mean projected system, and the synchronous coupling.
 
 Positions always carry a leading run axis, (runs, N, d); a single run is a
-batch of one.  Independent Monte Carlo runs advance in lockstep: each step
-draws its noise with one batch_noise call, a single (runs, N, d) block in
-which run r reads its own counter-based stream, and makes one update with
-apply_scheme, which projects the noise and recentres the ensemble in
-projected mode and rejects non-finite states.  Results are therefore
-bit-identical whatever the batching or thread count.
+batch of one.  Independent Monte Carlo runs advance in lockstep.  A chunk
+of runs draws its noise a window of consecutive steps at a time
+(noise_window), with one batch_noise call per window giving a
+(steps, runs, N, d) block in which run r reads its own counter-based
+stream; each step then makes one update with apply_scheme, which projects
+the noise and recentres the ensemble in projected mode and rejects
+non-finite states.  Every block is a pure function of (seed, stream,
+step), so results are bit-identical whatever the windows, the batching or
+the thread count.
 """
 
 from __future__ import annotations
@@ -153,11 +156,40 @@ def observation_schedule(obs_steps, state, advance):
             yield slots[k], state
 
 
-def batch_noise(source: BrownianSource, streams, step_index: int, n: int, dim: int) -> np.ndarray:
-    """Per-run noise blocks stacked to (runs, n, dim), drawn in one call on
-    the source; run r's block depends only on its own stream, never on the
-    batch composition."""
-    return source.normals(streams, step_index, n * dim).reshape(len(streams), n, dim)
+# Most increments one noise window holds: a chunk of runs draws the noise
+# of max(1, NOISE_WINDOW_VALUES // (runs * N * d)) consecutive steps in one
+# call, so a step's share of the generator set-up and of the ufunc calls
+# shrinks, while a window stays at 256 KiB of float64 at most (unless one
+# step alone is larger).
+NOISE_WINDOW_VALUES = 2**15
+
+
+def batch_noise(source: BrownianSource, streams, steps, n: int, dim: int) -> np.ndarray:
+    """Per-run noise blocks of one step, stacked to (runs, n, dim), or of a
+    sequence of steps, stacked to (len(steps), runs, n, dim), drawn in one
+    call on the source; run r's block at a step depends only on its own
+    stream and that step, never on the batch or window composition."""
+    shape = np.shape(steps) + (len(streams), n, dim)
+    return source.normals(streams, steps, n * dim).reshape(shape)
+
+
+def noise_window(source: BrownianSource, streams, n: int, dim: int, end: int):
+    """noise(k), the (runs, n, dim) increments of step k < end.  A step
+    outside the window held draws a new one with one batch_noise call: step
+    k and the steps after it, NOISE_WINDOW_VALUES // (runs n dim) of them
+    (at least one) but none at or past end, so a walk over steps 0, 1, ...,
+    end - 1 draws each step once."""
+    width = max(1, NOISE_WINDOW_VALUES // (len(streams) * n * dim))
+    start, xi = 0, ()
+
+    def noise(k):
+        nonlocal start, xi
+        if not 0 <= k - start < len(xi):
+            start, xi = k, ()  # free the spent window first: one held at a time
+            xi = batch_noise(source, streams, range(k, min(k + width, end)), n, dim)
+        return xi[k - start]
+
+    return noise
 
 
 def step_batch(
@@ -165,18 +197,15 @@ def step_batch(
     V: Potential,
     W: Potential,
     policy: StepPolicy,
-    source: BrownianSource,
-    streams,
-    step_index: int,
+    xi: np.ndarray,
     projected: bool = False,
 ) -> np.ndarray:
-    """Advance independent runs, positions (..., runs, N, d), from step
-    step_index to step_index + 1; run r draws from streams[r].  A single
-    run is runs = 1, and row r never depends on the other rows.  Leading
-    axes share each run's draw: a coupled pair (2, runs, N, d) advances on
-    identical Brownian increments, so its difference process sees no
-    noise."""
-    xi = batch_noise(source, streams, step_index, x.shape[-2], x.shape[-1])
+    """Advance independent runs, positions (..., runs, N, d), by one step
+    driven by that step's increments xi (runs, N, d), row r those of run r.
+    A single run is runs = 1, and row r never depends on the other rows.
+    Leading axes share each run's increments: a coupled pair (2, runs, N, d)
+    advances on identical Brownian increments, so its difference process
+    sees no noise."""
     return apply_scheme(x, drift(x, V, W), xi, policy.dt, policy.scheme, projected)
 
 

@@ -20,10 +20,10 @@ from scipy.special import stdtrit
 from . import io as gio
 from .config import SimConfig, canonical_text, config_hash, observation_time_errors
 from .dynamics import (
-    batch_noise,
     couple_initial,
     drift,
     apply_scheme,
+    noise_window,
     observation_schedule,
     observation_steps,
     project,
@@ -155,10 +155,11 @@ def simulate_batch(config: SimConfig, runs: int | None = None, threads: int = 1)
         streams = [config.stream_for_run(r) for r in chunk]
         x = config.initial_law.sample(source, streams, config.n, config.dim)
         x = project(x) if projected else x
+        noise = noise_window(source, streams, config.n, config.dim, max(obs))
 
         def advance(x, k):
             return step_batch(x, config.potential_V, config.potential_W, config.step_policy,
-                              source, streams, k, projected)
+                              noise(k), projected)
 
         for slots, x in observation_schedule(obs, x, advance):
             part[slots] = x
@@ -185,10 +186,11 @@ def coupled_batch(config: SimConfig, threads: int = 1):
         # the pair axis leads: (2, runs, N, d)
         pair = np.stack([couple_initial(a, b) for a, b in zip(xa, xb)], axis=1)
         pair = project(pair) if projected else pair
+        noise = noise_window(source, streams, n, dim, max(obs))
 
         def advance(pair, k):
             return step_batch(pair, config.potential_V, config.potential_W,
-                              config.step_policy, source, streams, k, projected)
+                              config.step_policy, noise(k), projected)
 
         xi_out = np.empty((len(obs), len(chunk)))
         for slots, (xa, xb) in observation_schedule(obs, pair, advance):
@@ -315,21 +317,26 @@ def _chaos_walk(config, source, chunk, N_values, M_reference, obs):
     advances them all, so memory does not grow with the horizon.  Draws are
     prefix-stable, so the walk draws the initial state and each step's
     increments once, for the largest N, and the n-system takes their first
-    n rows.  A proxy starts at row 0 of the unprojected initial draw and
-    steps on row 0 of the unprojected increments, so one proxy per ensemble
-    serves every N; its drift, the convolution of grad W with u_t, reads its
-    ensemble at the start of the step."""
+    n rows.  Each ensemble draws its increments a window of steps at a
+    time (noise_window), none past the last observed step.  A proxy starts
+    at row 0 of the unprojected initial draw and steps on row 0 of the
+    unprojected increments, so one proxy per ensemble serves every N; its
+    drift, the convolution of grad W with u_t, reads its ensemble at the
+    start of the step."""
     V, W, policy, dim = config.potential_V, config.potential_W, config.step_policy, config.dim
     streams = [config.stream_for_run(r) for r in chunk]
     aux_streams = [[config.stream_for_run(r, role) for r in chunk]
                    for role in (config.AUX_STREAM, config.HALF_AUX_STREAM)]
+    sizes, end = (M_reference, M_reference // 2), max(obs)
+    aux_noise = [noise_window(source, ss, m, dim, end) for m, ss in zip(sizes, aux_streams)]
+    system_noise = noise_window(source, streams, N_values[-1], dim, end)
 
     def advance(state, k):
         ensembles, systems, proxies = state
         bx = [-W.mean_grad(xbar, aux) for xbar, aux in zip(proxies, ensembles)]
-        ensembles = [step_batch(aux, V, W, policy, source, ss, k, projected=True)
-                     for aux, ss in zip(ensembles, aux_streams)]
-        xi = batch_noise(source, streams, k, N_values[-1], dim)
+        ensembles = [step_batch(aux, V, W, policy, noise(k), projected=True)
+                     for aux, noise in zip(ensembles, aux_noise)]
+        xi = system_noise(k)
         systems = [apply_scheme(y, drift(y, V, W), xi[:, :n], policy.dt, policy.scheme,
                                 projected=True)
                    for y, n in zip(systems, N_values)]
@@ -338,7 +345,7 @@ def _chaos_walk(config, source, chunk, N_values, M_reference, obs):
         return ensembles, systems, proxies
 
     ensembles = [project(config.initial_law.sample(source, ss, m, dim))
-                 for m, ss in zip((M_reference, M_reference // 2), aux_streams)]
+                 for m, ss in zip(sizes, aux_streams)]
     x0 = config.initial_law.sample(source, streams, N_values[-1], dim)
     state = (ensembles, [project(x0[:, :n]) for n in N_values], [x0[:, :1]] * 2)
     err = np.empty((len(N_values) + 1, len(obs), len(chunk)))

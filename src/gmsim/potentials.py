@@ -102,20 +102,21 @@ class Potential:
         # from differences to the sample point y_0, so their rounding
         # scales with the spread of y, not with its offset, and they are
         # exactly 0 when every point coincides (identical particles feel
-        # no drift).
-        m = y.shape[-2]
+        # no drift).  When y is x (the particle drift), u and v come from
+        # the same operations, so v and |v|^2 serve as u and |u|^2.
+        m, same = y.shape[-2], x is y
         y0 = y[..., :1, :]
         v = y - y0
         shift = v.sum(axis=-2, keepdims=True) / m
-        u = (x - y0) - shift
+        u = (v if same else x - y0) - shift
         if self.params.get("p") != 4.0:  # quadratic, or power_law p = 2 with kappa = 1
             return 2.0 * self.params.get("kappa", 1.0) * u
-        v = v - shift
+        v = u if same else v - shift
         vv = np.sum(v * v, axis=-1, keepdims=True)
         S = np.swapaxes(v, -1, -2) @ v / m
         trace = vv.sum(axis=-2, keepdims=True) / m
         skew = (vv * v).sum(axis=-2, keepdims=True) / m
-        uu = np.sum(u * u, axis=-1, keepdims=True)
+        uu = vv if same else np.sum(u * u, axis=-1, keepdims=True)
         return 4.0 * ((uu + trace) * u + 2.0 * u @ S - skew)
 
     def _pair_weight(self, s: np.ndarray) -> np.ndarray:

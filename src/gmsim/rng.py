@@ -9,12 +9,12 @@ in which order, or on how work is split across threads.  Prefix stability
 what lets a mean-field proxy particle reuse the increments of particle 0
 of an N-particle block.
 
-A call may ask for several streams at once.  It builds one generator, local
-to the call, and re-keys it for each stream by setting its counter, which
-yields exactly the words a fresh Philox(key=seed, counter=[0, 0, step,
-stream]) would; the stacked block then goes through one uniform map and one
-inverse-CDF call.  No generator outlives the call, so threads may share a
-source.
+A call may ask for several streams and a window of several steps at once.
+It builds one generator, local to the call, and re-keys it for each
+(step, stream) by setting its counter, which yields exactly the words a
+fresh Philox(key=seed, counter=[0, 0, step, stream]) would; the stacked
+words then go through one uniform map and one inverse-CDF call.  No
+generator outlives the call, so threads may share a source.
 """
 
 from __future__ import annotations
@@ -36,38 +36,45 @@ class BrownianSource:
     """Stateless source of standard normal increments.
 
     Gaussians come from the inverse normal CDF applied to 53-bit uniforms,
-    offset to the open interval (0, 1).  `stream` is one stream, giving
-    shape (count,), or a sequence of streams, giving (len(streams), count)
-    with row r the block of streams[r].
+    offset to the open interval (0, 1).  `stream` is one stream or a
+    sequence of streams, and `step` one step or a sequence of steps; the
+    result has shape step's shape + stream's shape + (count,), so
+    out[i, r] is the block of (step[i], stream[r]) and a single step of a
+    single stream gives (count,).
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
 
-    def _raw(self, stream, step: int, count: int) -> np.ndarray:
-        single = np.ndim(stream) == 0
-        streams = [stream] if single else stream
+    def _raw(self, stream, step, count: int) -> np.ndarray:
+        steps = [step] if np.ndim(step) == 0 else step
+        streams = [int(s) for s in ([stream] if np.ndim(stream) == 0 else stream)]
         bg = Philox(key=self.seed)
-        # The state of a fresh generator, buffer exhausted; restoring it with
-        # another counter makes the next draw start exactly where a fresh
-        # Philox(key=seed, counter=...) would.
+        # The state of a fresh generator, buffer exhausted, held as plain
+        # ints; restoring it with another counter makes the next draw start
+        # exactly where a fresh Philox(key=seed, counter=...) would.
         state = bg.state
-        inner, step = state["state"], int(step)
-        raw = np.empty((len(streams), count), dtype=np.uint64)
-        for r, s in enumerate(streams):
-            inner["counter"] = [0, 0, step, int(s)]
-            bg.state = state
-            raw[r] = bg.random_raw(count)
-        return raw[0] if single else raw
+        counter = [0, 0, 0, 0]
+        state["state"] = {"counter": counter, "key": [int(k) for k in state["state"]["key"]]}
+        state["buffer"] = [0, 0, 0, 0]
+        raw = np.empty((len(steps), len(streams), count), dtype=np.uint64)
+        for i, k in enumerate(steps):
+            counter[2] = int(k)
+            for r, s in enumerate(streams):
+                counter[3] = s
+                bg.state = state
+                raw[i, r] = bg.random_raw(count)
+        return raw.reshape(np.shape(step) + np.shape(stream) + (count,))
 
-    def uniforms(self, stream, step: int, count: int) -> np.ndarray:
+    def uniforms(self, stream, step, count: int) -> np.ndarray:
         """Uniform variates in the open interval (0, 1)."""
         return _to_uniform(self._raw(stream, step, count))
 
-    def normals(self, stream, step: int, count: int) -> np.ndarray:
-        """Standard normal variates, element i of a stream's block being a
-        pure function of (seed, stream, step, i)."""
-        return ndtri(self.uniforms(stream, step, count))
+    def normals(self, stream, step, count: int) -> np.ndarray:
+        """Standard normal variates, element i of a (stream, step) block
+        being a pure function of (seed, stream, step, i)."""
+        u = self.uniforms(stream, step, count)
+        return ndtri(u, out=u)
 
 
 def _to_uniform(raw: np.ndarray) -> np.ndarray:

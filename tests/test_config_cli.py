@@ -329,6 +329,26 @@ def test_cli_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides, error", [
+    # dt = inf snapped every time to step 0 and exited 0
+    ({"dynamics": {"dt": "inf"}}, "[dynamics] dt must be finite, got 'inf'"),
+    ({"dynamics": {"dt": "nan"}}, "[dynamics] dt must be finite, got 'nan'"),
+    ({"experiment": {"obs_times": "0.0,nan,1.0"}},
+     "[experiment] obs_times must be a list of finite numbers, got '0.0,nan,1.0'"),
+    ({"initial_law": {"sigma": "inf"}}, "[initial_law] sigma must be finite, got 'inf'"),
+    ({"experiment": {"horizon": "inf"}}, "[experiment] horizon must be finite, got 'inf'"),
+    ({"potential_W": {"A": "inf"}}, "[potential_W] A must be finite, got 'inf'"),
+])
+def test_cli_non_finite_numbers_are_config_errors(tmp_path, capsys, overrides, error):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, output={"dir": str(out)}, **overrides)
+    assert run_cli(["simulate", "--config", path, "--seed", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {error}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_config_errors_exit_usage(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("[dynamics]\nn = 1\n")

@@ -131,6 +131,15 @@ def test_mean_grad_moment_path_matches_double_loop(seed, kind, d, batch, n, m, o
     np.testing.assert_allclose(W.mean_grad(x, y), want, rtol=0, atol=1e-12 * largest)
 
 
+@pytest.mark.parametrize("W", MOMENT_KINDS, ids=lambda W: f"{W.kind}{W.params.get('p', '')}")
+@pytest.mark.parametrize("shape", [(5, 1), (2, 3, 7, 2)])
+def test_mean_grad_of_a_cloud_with_itself_takes_the_same_bits(W, shape):
+    # The drift passes one array as x and y, and the moment path then
+    # reuses v as u; an equal copy takes the general path.
+    x = 1e3 + np.random.default_rng(6).normal(size=shape)
+    np.testing.assert_array_equal(W.mean_grad(x, x), W.mean_grad(x, x.copy()))
+
+
 def test_mean_grad_quartic_against_two_points_closed_form():
     # The chaos proxy's call: one point per run against an auxiliary
     # ensemble, here the two points -a and a in d = 1.
@@ -240,7 +249,7 @@ def test_drift_raises_on_nonfinite():
 def test_step_zero_potentials_is_pure_brownian():
     src = BrownianSource(3)
     policy = StepPolicy(scheme="euler", dt=0.25)
-    out = step_batch(np.zeros((1, 4, 2)), zero(), zero(), policy, src, [0], 0)
+    out = step_batch(np.zeros((1, 4, 2)), zero(), zero(), policy, batch_noise(src, [0], 0, 4, 2))
     xi = noise_block(src, 0, 0, 4, 2)
     np.testing.assert_array_equal(out[0], np.sqrt(2 * 0.25) * xi)
 
@@ -263,10 +272,10 @@ def test_euler_blows_up_tamed_does_not():
     x = x0.copy()
     with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError):
         for k in range(100):
-            x = step_batch(x, zero(), power_law(4.0), policy_e, src, [0], k)
+            x = step_batch(x, zero(), power_law(4.0), policy_e, batch_noise(src, [0], k, 2, 1))
     x = x0.copy()
     for k in range(1000):
-        x = step_batch(x, zero(), power_law(4.0), policy_t, src, [0], k)
+        x = step_batch(x, zero(), power_law(4.0), policy_t, batch_noise(src, [0], k, 2, 1))
     assert np.all(np.isfinite(x))
 
 
@@ -303,8 +312,8 @@ def test_projected_step_keeps_mean_zero():
     src = BrownianSource(cfg.seed)
     x = recentre(np.arange(12.0)[None, :, None])
     for k in range(20):
-        x = step_batch(x, cfg.potential_V, cfg.potential_W, cfg.step_policy, src, [0], k,
-                       projected=True)
+        x = step_batch(x, cfg.potential_V, cfg.potential_W, cfg.step_policy,
+                       batch_noise(src, [0], k, 12, 1), projected=True)
     assert abs(x.mean()) < 12 * np.finfo(float).eps * np.max(np.abs(x))
 
 
@@ -318,7 +327,8 @@ def test_projected_quadratic_difference_contracts_exactly():
     dt = 0.01
     xa, xb = step_batch(
         np.stack((ya[None], yb[None])), zero(), quadratic(1.0),
-        StepPolicy(scheme="euler", dt=dt), BrownianSource(1), [0], 0, projected=True,
+        StepPolicy(scheme="euler", dt=dt), batch_noise(BrownianSource(1), [0], 0, 6, 1),
+        projected=True,
     )
     np.testing.assert_allclose(xa[0] - xb[0], (1 - 2 * dt) * (ya - yb), atol=1e-14)
 
@@ -352,8 +362,9 @@ def test_run_in_batch_is_bit_identical_to_run_alone():
         x, xa, xb = x0[rows], x0[rows], 0.5 * x0[rows]
         s = [streams[r] for r in rows]
         for k in range(5):
-            x = step_batch(x, V, W, policy, src, s, k, projected=True)
-            xa, xb = step_batch(np.stack((xa, xb)), V, W, policy, src, s, k, projected=True)
+            xi = batch_noise(src, s, k, 8, 1)
+            x = step_batch(x, V, W, policy, xi, projected=True)
+            xa, xb = step_batch(np.stack((xa, xb)), V, W, policy, xi, projected=True)
         return x, xa, xb
 
     batch = run([0, 1, 2])
@@ -369,7 +380,7 @@ def test_coupled_difference_is_noise_free():
     xb = rng.normal(size=(1, 5, 1))
     policy = StepPolicy(scheme="euler", dt=0.02)
     na, nb = step_batch(np.stack((xa, xb)), zero(), power_law(4.0), policy,
-                        BrownianSource(7), [0], 0)
+                        batch_noise(BrownianSource(7), [0], 0, 5, 1))
     ba = drift(xa, zero(), power_law(4.0))
     bb = drift(xb, zero(), power_law(4.0))
     np.testing.assert_allclose(na - nb, (xa - xb) + (ba - bb) * 0.02, atol=1e-15)

@@ -3,12 +3,13 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gmsim import experiments
+from gmsim import dynamics, experiments
 from gmsim.config import config_hash, parse_config
 from gmsim.dynamics import InitialLaw, observation_steps
 from gmsim.experiments import (
@@ -34,7 +35,7 @@ from gmsim.experiments import (
     write_experiment_outputs,
 )
 from gmsim.potentials import Potential, zero
-from gmsim.rng import BrownianSource
+from gmsim.rng import INIT_STEP, BrownianSource
 
 from conftest import make_config
 
@@ -163,6 +164,85 @@ def test_pooled_chunks_give_identical_runs(monkeypatch):
             assert one == pooled
         else:
             np.testing.assert_array_equal(one, pooled, err_msg=name)
+
+
+def _harness_runs(threads=1):
+    # 8 runs of 8 particles in d = 1, 10 steps, the last observation at
+    # step 7: a chunk's system draws 64 increments per step
+    cfg = make_config(
+        dynamics={"n": 8, "dt": 0.02},
+        initial_law_b={"kind": "gaussian", "mean": 1.0, "sigma": 0.5},
+        experiment={"horizon": 0.2, "obs_times": "0.0,0.06,0.14", "runs": 8},
+    )
+    return {
+        "simulate": lambda: simulate_batch(cfg, threads=threads)[1],
+        "coupled": lambda: coupled_batch(cfg, threads=threads)[1],
+        "chaos": lambda: _chaos_walk(cfg, BrownianSource(cfg.seed), range(8), [4, 8], 64,
+                                     observation_steps(cfg.observation_times, 0.02)),
+    }
+
+
+@pytest.mark.parametrize("values", [1, 3 * 64], ids=["one_step", "three_steps"])
+def test_noise_windows_do_not_change_results(monkeypatch, values):
+    # At the default every stream set draws its 7 steps in one window; one
+    # step per window, or three (7 = 3 + 3 + 1 for the systems), must give
+    # the same bits.
+    want = {name: run() for name, run in _harness_runs().items()}
+    monkeypatch.setattr(dynamics, "NOISE_WINDOW_VALUES", values)
+    for name, run in _harness_runs().items():
+        np.testing.assert_array_equal(run(), want[name], err_msg=name)
+
+
+def test_no_noise_window_reaches_the_last_observed_step(monkeypatch):
+    # Windows of three steps over the 7 steps before the last observed
+    # one: each stream set draws steps 0 .. 6 once and never step 7 or on.
+    monkeypatch.setattr(dynamics, "NOISE_WINDOW_VALUES", 3 * 64)
+    normals, drawn = BrownianSource.normals, []
+
+    def spy(self, stream, step, count):
+        drawn.extend(int(k) for k in np.ravel(step) if k != INIT_STEP)
+        return normals(self, stream, step, count)
+
+    monkeypatch.setattr(BrownianSource, "normals", spy)
+    # the chaos walk draws for its systems and its two auxiliary ensembles
+    for (name, run), sets in zip(_harness_runs().items(), (1, 1, 3)):
+        drawn.clear()
+        run()
+        assert Counter(drawn) == {k: sets for k in range(7)}, name
+
+
+def test_natural_chunk_split_gives_identical_runs(monkeypatch):
+    # Sizes at which _chunks splits 2 ways on its own: 64 x 64 x 2 bump pair
+    # temporaries, 16 runs, and M = 16384 auxiliary particles, 4 runs.
+    map_chunks, seen = experiments._map_chunks, []
+
+    def spy(fn, chunks, threads):
+        seen.append([len(c) for c in chunks])
+        return map_chunks(fn, chunks, threads)
+
+    monkeypatch.setattr(experiments, "_map_chunks", spy)
+    bump = make_config(
+        potential_W={"kind": "uniform_plus_bump", "kappa": 1.0, "amplitude": 0.7,
+                     "radius": 2.0, "m": 2, "p": None, "A": None, "alpha": None},
+        dynamics={"n": 64, "dim": 2, "dt": 0.02},
+        initial_law_b={"kind": "gaussian", "mean": 1.0, "sigma": 0.5},
+        experiment={"horizon": 0.1, "obs_times": "0.0,0.06,0.1", "runs": 16},
+    )
+    quartic = make_config(dynamics={"n": 8, "dt": 0.02},
+                          experiment={"horizon": 0.1, "obs_times": "0.0,0.06,0.1"})
+    runs = {
+        "simulate": (lambda t: simulate_batch(bump, threads=t)[1], [8, 8]),
+        "coupled": (lambda t: coupled_batch(bump, threads=t)[1], [8, 8]),
+        "chaos": (lambda t: vars(chaos_scan(quartic, [4, 8], 16384, 4, threads=t)), [2, 2]),
+    }
+    for name, (run, split) in runs.items():
+        seen.clear()
+        one, two = run(1), run(2)
+        assert seen == [[sum(split)], split], name
+        if name == "chaos":
+            assert one == two
+        else:
+            np.testing.assert_array_equal(one, two, err_msg=name)
 
 
 def test_observations_snapping_to_one_step_are_all_filled():

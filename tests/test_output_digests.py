@@ -11,13 +11,28 @@ _spec.loader.exec_module(output_digests)
 
 
 def test_invocations_cover_every_subcommand_per_thread_count():
-    cmds = list(output_digests.invocations(["a.cfg"], 3, [1, 2]))
+    cmds = list(output_digests.invocations(["a.cfg"], [3], [1, 2]))
     assert len(cmds) == 1 + 2 * 7
     assert cmds[0] == ["check-potential", "--config", "a.cfg"]
     assert {c[0] for c in cmds} == {"check-potential", "simulate",
                                     *output_digests.EXPERIMENTS}
     assert ["simulate", "--config", "a.cfg", "--seed", "3", "--threads", "2",
             "--positions"] in cmds
+
+
+def test_seed_list_runs_every_seed_and_checks_each_config_once(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(output_digests, "digest",
+                        lambda tree, argv: (seen.append(argv) or 0, [" ".join(argv)]))
+    assert output_digests.main(["--tree", str(ROOT), "--seed", "3,11", "--threads", "1,2"]) == 0
+    n_configs = len(list((ROOT / "configs").glob("*.cfg")))
+    assert sum(a[0] == "check-potential" for a in seen) == n_configs
+    runs = [(a[a.index("--seed") + 1], a[a.index("--threads") + 1])
+            for a in seen if a[0] != "check-potential"]
+    assert len(runs) == n_configs * 4 * 7
+    assert set(runs) == {("3", "1"), ("3", "2"), ("11", "1"), ("11", "2")}
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"# {n_configs * 29} invocations; exit 0: {n_configs * 29}")
 
 
 def test_digest_does_not_depend_on_the_output_directory():

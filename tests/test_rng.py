@@ -1,7 +1,7 @@
 """Counter-based noise source: purity, prefix stability, distribution."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.random import Philox
 from scipy.special import ndtri
 
@@ -12,6 +12,8 @@ STREAMS = st.integers(min_value=0, max_value=2**31)
 STEPS = st.integers(min_value=0, max_value=2**40)
 # small stream ids make repeated streams within one call common
 STREAM_LISTS = st.lists(st.one_of(st.integers(0, 3), STREAMS), min_size=1, max_size=8)
+STEP_LISTS = st.lists(st.one_of(st.integers(0, 3), STEPS, st.just(INIT_STEP)),
+                      min_size=1, max_size=5)
 
 
 def _oracle_uniforms(seed, stream, step, count):
@@ -34,6 +36,33 @@ def test_batched_rows_match_a_fresh_philox_per_stream(seed, step, streams, count
         np.testing.assert_array_equal(u[r], expected)
         np.testing.assert_array_equal(z[r], ndtri(expected))
         np.testing.assert_array_equal(src.normals(stream, step, count), z[r])
+
+
+@given(seed=SEEDS, steps=STEP_LISTS, streams=STREAM_LISTS, count=st.integers(1, 33))
+@example(seed=2**63 - 1, steps=[INIT_STEP, 0, 0, 5], streams=[3, 3, 0], count=7)
+@settings(max_examples=100, deadline=None)
+def test_window_rows_match_a_fresh_philox_per_step_and_stream(seed, steps, streams, count):
+    src = BrownianSource(seed)
+    u = src.uniforms(streams, steps, count)
+    z = src.normals(streams, steps, count)
+    assert u.shape == z.shape == (len(steps), len(streams), count)
+    for i, step in enumerate(steps):
+        for r, stream in enumerate(streams):
+            expected = _oracle_uniforms(seed, stream, step, count)
+            np.testing.assert_array_equal(u[i, r], expected)
+            np.testing.assert_array_equal(z[i, r], ndtri(expected))
+
+
+@given(seed=SEEDS, step=st.one_of(STEPS, st.just(INIT_STEP)), streams=STREAM_LISTS,
+       count=st.integers(1, 33))
+@settings(max_examples=50, deadline=None)
+def test_one_step_is_a_window_of_one(seed, step, streams, count):
+    src = BrownianSource(seed)
+    for draw in (src.normals, src.uniforms):
+        np.testing.assert_array_equal(draw(streams, step, count),
+                                      draw(streams, [step], count)[0])
+        np.testing.assert_array_equal(draw(streams[0], step, count),
+                                      draw(streams[0], range(step, step + 1), count)[0])
 
 
 def test_frozen_values():

@@ -2,16 +2,16 @@
 two source trees.
 
 For every `configs/*.cfg` of a tree it runs check-potential once, and
-simulate (with and without --positions) and the five experiments at one
-seed and at each given thread count.  Each invocation writes into a fresh
+simulate (with and without --positions) and the five experiments at each
+given seed and thread count.  Each invocation writes into a fresh
 --out directory, and prints one block: the command line, the exit code and
 the sha256 of stdout, of stderr and of every file written.  The output
 directory's path is replaced by `OUT` in the streams and files before they
 are hashed, since summaries echo it.  Two trees behave the same exactly
 when their digests do:
 
-    python3 tools/output_digests.py --tree OLD --seed 3 --threads 1,2 > old.txt
-    python3 tools/output_digests.py --tree NEW --seed 3 --threads 1,2 > new.txt
+    python3 tools/output_digests.py --tree OLD --seed 3,11 --threads 1,2 > old.txt
+    python3 tools/output_digests.py --tree NEW --seed 3,11 --threads 1,2 > new.txt
     diff old.txt new.txt
 
 gmsim runs from the tree's `src/` with this interpreter, one invocation at
@@ -32,16 +32,17 @@ from pathlib import Path
 EXPERIMENTS = ("decay", "chaos-scan", "uniform-moments", "exp-square-moment", "concentration")
 
 
-def invocations(configs, seed: int, threads):
+def invocations(configs, seeds, threads):
     """gmsim command lines, without --out, in digest order."""
     for cfg in configs:
         yield ["check-potential", "--config", cfg]
-        for t in threads:
-            common = ["--config", cfg, "--seed", str(seed), "--threads", str(t)]
-            yield ["simulate", *common]
-            yield ["simulate", *common, "--positions"]
-            for experiment in EXPERIMENTS:
-                yield [experiment, *common]
+        for seed in seeds:
+            for t in threads:
+                common = ["--config", cfg, "--seed", str(seed), "--threads", str(t)]
+                yield ["simulate", *common]
+                yield ["simulate", *common, "--positions"]
+                for experiment in EXPERIMENTS:
+                    yield [experiment, *common]
 
 
 def digest(tree: Path, argv) -> tuple[int, list]:
@@ -68,14 +69,14 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--tree", default=str(Path(__file__).resolve().parent.parent),
                    help="source tree to run (default: the one holding this script)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", required=True, help="comma-separated seeds")
     p.add_argument("--threads", default="1", help="comma-separated thread counts")
     args = p.parse_args(argv)
     tree = Path(args.tree).resolve()
     configs = sorted(str(c.relative_to(tree)) for c in tree.glob("configs/*.cfg"))
-    threads = [int(t) for t in args.threads.split(",")]
+    seeds, threads = ([int(v) for v in arg.split(",")] for arg in (args.seed, args.threads))
     exits = collections.Counter()
-    for cmd in invocations(configs, args.seed, threads):
+    for cmd in invocations(configs, seeds, threads):
         code, lines = digest(tree, cmd)
         exits[code] += 1
         print("\n".join(lines), flush=True)
