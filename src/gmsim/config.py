@@ -9,19 +9,26 @@ import difflib
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import potentials
-from .dynamics import LAW_KINDS, InitialLaw, StepPolicy
+from .dynamics import LAW_FIELDS, InitialLaw, StepPolicy
 
-_POTENTIAL_KEYS = {
-    "kind", "p", "kappa", "amplitude", "radius", "m", "lambda", "C", "A", "alpha",
-}
+# (key, Potential field, default) of the constants every potential kind
+# may declare; an integer default makes an integer key.
+_DECLARED = (
+    ("m", "growth_exponent_m", 1),
+    ("lambda", "declared_lambda", 0.0),
+    ("C", "declared_C", 0.0),
+    ("A", "declared_A", 0.0),
+    ("alpha", "declared_alpha", 0.0),
+)
 _POTENTIAL_NUMBERS = {"p", "kappa", "amplitude", "radius"}
+_POTENTIAL_KEYS = {"kind", *_POTENTIAL_NUMBERS, *(key for key, _, _ in _DECLARED)}
 _DYNAMICS_KEYS = {"n", "dim", "mode", "scheme", "dt"}
-_LAW_KEYS = {"kind", "mean", "sigma", "half_width", "point_a", "point_b", "weight"}
+_LAW_KEYS = {f.name for f in fields(InitialLaw)}
 _EXPERIMENT_KEYS = {"horizon", "obs_stride", "obs_count", "obs_times", "seed", "runs"}
 _OUTPUT_KEYS = {"dir", "formats"}
 _SECTIONS = {
@@ -60,17 +67,6 @@ class SimConfig:
     output_dir: str
     output_formats: tuple
 
-    # Run r owns the STREAM_STRIDE stream ids from STREAM_STRIDE * r: its
-    # particles draw from the first, and each role below from the id at
-    # its offset.
-    STREAM_STRIDE = 8
-    PARTNER_STREAM = 1  # the coupled partner's initial draw
-    AUX_STREAM = 2  # the chaos scan's auxiliary ensemble
-    HALF_AUX_STREAM = 3  # its half-size copy for the proxy-bias check
-
-    def stream_for_run(self, run: int, role: int = 0) -> int:
-        return self.STREAM_STRIDE * int(run) + role
-
 
 def _parse_scalar(raw: str):
     s = raw.strip()
@@ -90,6 +86,7 @@ def _parse_scalar(raw: str):
 def _parse_tree(text: str, errors: list) -> dict:
     tree: dict = {}
     section = None
+    set_on: dict = {}  # (section, key) -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -116,6 +113,10 @@ def _parse_tree(text: str, errors: list) -> dict:
             hint = _did_you_mean(key, valid)
             errors.append(f"line {lineno}: unknown key {key!r} in [{section}]{hint}")
             continue
+        first = set_on.setdefault((section, key), lineno)
+        if first != lineno:
+            errors.append(f"line {lineno}: {key!r} in [{section}] is already set on line {first}")
+            continue
         if "," in raw:
             tree[section][key] = tuple(_parse_scalar(v) for v in raw.split(","))
         else:
@@ -134,12 +135,17 @@ def _is_number(v) -> bool:
 
 def _number(sec: dict, key: str, default, errors: list, where: str, cast=float):
     """sec[key] (or default when absent) cast to a number; a value that is
-    not a finite number adds an error naming section and key and yields
-    default."""
+    not a finite number, or not integral when cast is int, adds an error
+    naming section and key and yields default."""
     raw = sec.get(key, default)
-    if _is_number(raw) and math.isfinite(raw):
+    if not _is_number(raw):
+        rule = "a number"
+    elif not math.isfinite(raw):
+        rule = "finite"
+    elif cast is int and raw != int(raw):
+        rule = "an integer"
+    else:
         return cast(raw)
-    rule = "finite" if _is_number(raw) else "a number"
     errors.append(f"[{where}] {key} must be {rule}, got {_fmt(raw)!r}")
     return default
 
@@ -160,13 +166,8 @@ def _numbers(sec: dict, key: str, default, errors: list, where: str):
 def _build_potential(sec: dict, errors: list, where: str):
     kind = sec.get("kind", "zero")
     reported = len(errors)
-    declared = {
-        "growth_exponent_m": _number(sec, "m", 1, errors, where, int),
-        "declared_lambda": _number(sec, "lambda", 0.0, errors, where),
-        "declared_C": _number(sec, "C", 0.0, errors, where),
-        "declared_A": _number(sec, "A", 0.0, errors, where),
-        "declared_alpha": _number(sec, "alpha", 0.0, errors, where),
-    }
+    declared = {name: _number(sec, key, default, errors, where, type(default))
+                for key, name, default in _DECLARED}
     params = {k: _number(sec, k, None, errors, where) for k in _POTENTIAL_NUMBERS & sec.keys()}
     if len(errors) > reported:
         return potentials.zero()
@@ -193,19 +194,15 @@ def _build_potential(sec: dict, errors: list, where: str):
 def _build_law(sec: dict, errors: list, where: str, dim: int) -> InitialLaw:
     """The law of sec; its kind's fields, those _law_items renders, are
     checked against dim and their ranges."""
-    kind = str(sec.get("kind", "gaussian"))
-    if kind not in LAW_KINDS:
-        hint = _did_you_mean(kind, LAW_KINDS)
+    kind = str(sec.get("kind", InitialLaw.kind))
+    if kind not in LAW_FIELDS:
+        hint = _did_you_mean(kind, LAW_FIELDS)
         errors.append(f"[{where}] unknown initial law kind {kind!r}{hint}")
-    law = InitialLaw(
-        kind=kind,
-        mean=_numbers(sec, "mean", (0.0,), errors, where),
-        sigma=_number(sec, "sigma", 1.0, errors, where),
-        half_width=_number(sec, "half_width", 1.0, errors, where),
-        point_a=_numbers(sec, "point_a", (0.0,), errors, where),
-        point_b=_numbers(sec, "point_b", (1.0,), errors, where),
-        weight=_number(sec, "weight", 0.5, errors, where),
-    )
+    values = {}
+    for f in fields(InitialLaw)[1:]:  # the fields after kind, each with its default
+        read = _numbers if isinstance(f.default, tuple) else _number
+        values[f.name] = read(sec, f.name, f.default, errors, where)
+    law = InitialLaw(kind=kind, **values)
     for key, value in _law_items(law)[1:]:
         if isinstance(value, tuple):
             if len(value) not in (1, dim):
@@ -221,6 +218,9 @@ def _observation_times(exp: dict, horizon: float, dt: float, errors: list):
     """The observation times, from obs_times or from obs_stride and
     obs_count; None, with the error reported, when they cannot be formed."""
     if "obs_times" in exp:
+        both = [k for k in ("obs_stride", "obs_count") if k in exp]
+        if both:
+            errors.append(f"[experiment] obs_times cannot be given with {' and '.join(both)}")
         return _numbers(exp, "obs_times", None, errors, "experiment")
     stride = _number(exp, "obs_stride", max(horizon / 20.0, dt), errors, "experiment")
     if stride <= 0:
@@ -351,26 +351,12 @@ def _fmt(v) -> str:
 
 
 def _potential_items(p: potentials.Potential):
-    items = [("kind", p.kind)] + sorted(p.params.items())
-    items += [
-        ("m", p.growth_exponent_m),
-        ("lambda", p.declared_lambda),
-        ("C", p.declared_C),
-        ("A", p.declared_A),
-        ("alpha", p.declared_alpha),
-    ]
-    return items
+    return ([("kind", p.kind)] + sorted(p.params.items())
+            + [(key, getattr(p, name)) for key, name, _ in _DECLARED])
 
 
 def _law_items(law: InitialLaw):
-    items = [("kind", law.kind)]
-    if law.kind == "gaussian":
-        items += [("mean", law.mean), ("sigma", law.sigma)]
-    elif law.kind == "uniform":
-        items += [("half_width", law.half_width)]
-    elif law.kind == "two_point":
-        items += [("point_a", law.point_a), ("point_b", law.point_b), ("weight", law.weight)]
-    return items
+    return [("kind", law.kind)] + [(k, getattr(law, k)) for k in LAW_FIELDS.get(law.kind, ())]
 
 
 def _result_sections(cfg: SimConfig) -> list:

@@ -25,7 +25,9 @@ from .rng import INIT_STEP, BrownianSource
 
 EULER = "euler"
 TAMED = "tamed"
-LAW_KINDS = ("gaussian", "uniform", "two_point")
+# The fields each InitialLaw kind reads, in the order configs render them.
+LAW_FIELDS = {"gaussian": ("mean", "sigma"), "uniform": ("half_width",),
+              "two_point": ("point_a", "point_b", "weight")}
 
 
 class IntegrationError(RuntimeError):
@@ -48,8 +50,8 @@ class StepPolicy:
 class InitialLaw:
     """Initial distribution for the particle positions.
 
-    kinds (LAW_KINDS): gaussian (mean, sigma), uniform (half_width),
-    two_point (point_a, point_b, weight).  sample draws one ensemble
+    kind is a key of LAW_FIELDS, which lists the fields it reads; the
+    field defaults are the config's.  sample draws one ensemble
     (n, dim) for one stream, or a batch (runs, n, dim) for a list of
     streams in one call on the source, row r bit-identical to the draw of
     streams[r] alone.  Projected runs recentre the draw with project.

@@ -35,7 +35,7 @@ from .rng import BrownianSource
 
 
 # ---------------------------------------------------------------------------
-# deterministic run-chunk parallelism
+# deterministic run chunks, the stream map and the stepping walk
 
 # Fewest elements a chunk must touch per step before running chunks on pool
 # threads beats one chunk inline: smaller numpy calls cost more in dispatch
@@ -74,6 +74,44 @@ def _map_chunks(fn, chunks, threads: int):
         return [fn(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, chunks))
+
+
+# Roles besides role 0, the one a run's particles draw in.
+PARTNER_STREAM = 1  # the coupled partner's initial draw
+AUX_STREAM = 2  # the chaos scan's auxiliary ensemble
+HALF_AUX_STREAM = 3  # its half-size copy for the proxy-bias check
+
+
+def run_streams(runs, role: int = 0) -> list[int]:
+    """The stream ids the given runs draw from in the given role: run r
+    owns the 8 ids from 8r, a role the id at its offset."""
+    return [8 * int(r) + role for r in runs]
+
+
+def _over_runs(config: SimConfig, runs: int, threads: int, sizes, run_chunk):
+    """run_chunk(source, chunk, obs) over runs 0 .. runs - 1 in chunks, with
+    the source keyed on config's seed and the observation times snapped to
+    steps; each run advances ensembles of the given sizes.  Returns the
+    chunks' results in chunk order."""
+    source = BrownianSource(config.seed)
+    obs = observation_steps(config.observation_times, config.step_policy.dt)
+    work = _step_work(config.potential_W, sizes, config.dim)
+    return _map_chunks(lambda chunk: run_chunk(source, chunk, obs),
+                       _chunks(runs, threads, work), threads)
+
+
+def _walk(config: SimConfig, source, chunk, obs, x):
+    """observation_schedule over the chunk's positions x (..., runs, N, d),
+    recentred in projected mode, each step a step_batch on the increments of
+    the chunk's runs; leading axes share them."""
+    projected = config.mode == "projected"
+    noise = noise_window(source, run_streams(chunk), config.n, config.dim, max(obs))
+
+    def advance(x, k):
+        return step_batch(x, config.potential_V, config.potential_W, config.step_policy,
+                          noise(k), projected)
+
+    return observation_schedule(obs, project(x) if projected else x, advance)
 
 
 # ---------------------------------------------------------------------------
@@ -140,32 +178,20 @@ def fit_exp_rate(times, values, floor: float = 0.0):
 # ---------------------------------------------------------------------------
 # batched simulation drivers
 
-def simulate_batch(config: SimConfig, runs: int | None = None, threads: int = 1):
+def simulate_batch(config: SimConfig, threads: int = 1):
     """Simulate independent runs; returns (times, positions) with positions
     of shape (n_obs, runs, N, d)."""
-    runs = config.runs if runs is None else runs
-    source = BrownianSource(config.seed)
-    projected = config.mode == "projected"
-    obs = observation_steps(config.observation_times, config.step_policy.dt)
-    out = np.empty((len(obs), runs, config.n, config.dim))
+    n, dim = config.n, config.dim
+    out = np.empty((len(config.observation_times), config.runs, n, dim))
 
-    def run_chunk(chunk):
+    def run_chunk(source, chunk, obs):
         # chunks are consecutive runs, so each writes its own basic slice
         part = out[:, chunk[0]:chunk[-1] + 1]
-        streams = [config.stream_for_run(r) for r in chunk]
-        x = config.initial_law.sample(source, streams, config.n, config.dim)
-        x = project(x) if projected else x
-        noise = noise_window(source, streams, config.n, config.dim, max(obs))
-
-        def advance(x, k):
-            return step_batch(x, config.potential_V, config.potential_W, config.step_policy,
-                              noise(k), projected)
-
-        for slots, x in observation_schedule(obs, x, advance):
+        x = config.initial_law.sample(source, run_streams(chunk), n, dim)
+        for slots, x in _walk(config, source, chunk, obs, x):
             part[slots] = x
 
-    work = _step_work(config.potential_W, [config.n], config.dim)
-    _map_chunks(run_chunk, _chunks(runs, threads, work), threads)
+    _over_runs(config, config.runs, threads, [n], run_chunk)
     return np.asarray(config.observation_times), out
 
 
@@ -173,33 +199,19 @@ def coupled_batch(config: SimConfig, threads: int = 1):
     """Pairs started from initial_law and initial_law_b, coupled by
     couple_initial and advanced on shared noise; returns (times, xi_runs)
     with xi_runs of shape (n_obs, runs)."""
-    source = BrownianSource(config.seed)
-    projected = config.mode == "projected"
-    obs = observation_steps(config.observation_times, config.step_policy.dt)
     n, dim = config.n, config.dim
+    xi = np.empty((len(config.observation_times), config.runs))
 
-    def run_chunk(chunk):
-        streams = [config.stream_for_run(r) for r in chunk]
-        xa = config.initial_law.sample(source, streams, n, dim)
-        xb = config.initial_law_b.sample(
-            source, [config.stream_for_run(r, config.PARTNER_STREAM) for r in chunk], n, dim)
+    def run_chunk(source, chunk, obs):
+        xa = config.initial_law.sample(source, run_streams(chunk), n, dim)
+        xb = config.initial_law_b.sample(source, run_streams(chunk, PARTNER_STREAM), n, dim)
         # the pair axis leads: (2, runs, N, d)
         pair = np.stack([couple_initial(a, b) for a, b in zip(xa, xb)], axis=1)
-        pair = project(pair) if projected else pair
-        noise = noise_window(source, streams, n, dim, max(obs))
+        for slots, (xa, xb) in _walk(config, source, chunk, obs, pair):
+            xi[slots, chunk[0]:chunk[-1] + 1] = np.mean(np.sum((xa - xb) ** 2, axis=-1), axis=-1)
 
-        def advance(pair, k):
-            return step_batch(pair, config.potential_V, config.potential_W,
-                              config.step_policy, noise(k), projected)
-
-        xi_out = np.empty((len(obs), len(chunk)))
-        for slots, (xa, xb) in observation_schedule(obs, pair, advance):
-            xi_out[slots] = np.mean(np.sum((xa - xb) ** 2, axis=-1), axis=-1)
-        return xi_out
-
-    work = 2 * _step_work(config.potential_W, [n], dim)
-    parts = _map_chunks(run_chunk, _chunks(config.runs, threads, work), threads)
-    return np.asarray(config.observation_times), np.concatenate(parts, axis=1)
+    _over_runs(config, config.runs, threads, [n, n], run_chunk)
+    return np.asarray(config.observation_times), xi
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +336,8 @@ def _chaos_walk(config, source, chunk, N_values, M_reference, obs):
     drift, the convolution of grad W with u_t, reads its ensemble at the
     start of the step."""
     V, W, policy, dim = config.potential_V, config.potential_W, config.step_policy, config.dim
-    streams = [config.stream_for_run(r) for r in chunk]
-    aux_streams = [[config.stream_for_run(r, role) for r in chunk]
-                   for role in (config.AUX_STREAM, config.HALF_AUX_STREAM)]
+    streams = run_streams(chunk)
+    aux_streams = [run_streams(chunk, role) for role in (AUX_STREAM, HALF_AUX_STREAM)]
     sizes, end = (M_reference, M_reference // 2), max(obs)
     aux_noise = [noise_window(source, ss, m, dim, end) for m, ss in zip(sizes, aux_streams)]
     system_noise = noise_window(source, streams, N_values[-1], dim, end)
@@ -382,16 +393,10 @@ def chaos_scan(
         raise ValueError("chaos_scan needs mode = projected: it runs projected N-systems "
                          "and a proxy without potential_V")
     alpha = config.potential_W.declared_alpha
-    obs = observation_steps(config.observation_times, config.step_policy.dt)
-    source = BrownianSource(config.seed)
-
-    def run_chunk(chunk):
-        return _chaos_walk(config, source, chunk, N_values, M_reference, obs)
-
-    work = _step_work(config.potential_W, [M_reference, M_reference // 2, *N_values],
-                      config.dim)
-    err = np.concatenate(
-        _map_chunks(run_chunk, _chunks(runs_per_N, threads, work), threads), axis=-1)
+    err = np.concatenate(_over_runs(
+        config, runs_per_N, threads, [M_reference, M_reference // 2, *N_values],
+        lambda source, chunk, obs: _chaos_walk(config, source, chunk, N_values, M_reference, obs),
+    ), axis=-1)
     errors, stderrs, worst_times = [], [], []
     for err_runs in err[:-1]:
         mean_t, se_t = _mc_mean(err_runs.T)
@@ -562,8 +567,8 @@ def concentration_suite(
     if errors:
         raise ValueError(f"concentration time {T!r}: " + "; ".join(errors))
     c_pipeline = pipeline_t1_constant(config)
-    cfg = replace(config, observation_times=(T,))
-    _, pos = simulate_batch(cfg, trials, threads)
+    cfg = replace(config, runs=trials, observation_times=(T,))
+    _, pos = simulate_batch(cfg, threads)
     f = LIPSCHITZ_FUNCTIONS[f_name]
     values = f(pos[0])  # (trials, N)
     S = values.mean(axis=1)

@@ -21,6 +21,7 @@ from gmsim.config import (
     validate_potentials,
 )
 from gmsim.dynamics import observation_steps
+from gmsim.experiments import PARTNER_STREAM, run_streams
 from gmsim.metrics import ExpSquareMomentSeries, MomentSeries
 from gmsim.rng import BrownianSource
 
@@ -108,6 +109,43 @@ def test_non_numeric_values_join_the_all_errors_report():
     with pytest.raises(ConfigError) as exc:
         make_config(experiment={"horizon": "long", "obs_times": "0.0,2.0"})
     assert exc.value.errors == ["[experiment] horizon must be a number, got 'long'"]
+
+
+def test_integral_numbers_load_for_integer_keys():
+    cfg = make_config(potential_W={"m": 3.0}, dynamics={"n": 8.0, "dim": 2.0},
+                      experiment={"obs_times": None, "obs_stride": 0.5, "obs_count": 3.0,
+                                  "runs": 2.0, "seed": 5.0})
+    values = (cfg.potential_W.growth_exponent_m, cfg.n, cfg.dim, cfg.runs, cfg.seed)
+    assert values == (3, 8, 2, 2, 5)
+    assert all(type(v) is int for v in values)
+    assert cfg.observation_times == (0.0, 0.5, 1.0)
+
+
+def test_duplicate_keys_join_the_all_errors_report():
+    text = ("[dynamics]\nn = 16\nn = 8\n"
+            "[experiment]\nseed = 3\nhorizon = 1.0\n"
+            "[dynamics]\ndim = 2\n"
+            "[experiment]\nseed = 4\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == [
+        "line 3: 'n' in [dynamics] is already set on line 2",
+        "line 10: 'seed' in [experiment] is already set on line 5",
+    ]
+    # a repeated header that sets new keys is not a duplicate
+    cfg = parse_config("[dynamics]\nn = 8\n[experiment]\nseed = 3\n[dynamics]\ndim = 2\n")
+    assert (cfg.n, cfg.dim, cfg.seed) == (8, 2, 3)
+
+
+@pytest.mark.parametrize("extra, named", [
+    ({"obs_stride": 0.25}, "obs_stride"),
+    ({"obs_count": 5}, "obs_count"),
+    ({"obs_stride": 0.25, "obs_count": 5}, "obs_stride and obs_count"),
+])
+def test_obs_times_with_a_stride_or_count_is_a_config_error(extra, named):
+    with pytest.raises(ConfigError) as exc:
+        make_config(experiment={"obs_times": "0.0,0.5,1.0", **extra})
+    assert exc.value.errors == [f"[experiment] obs_times cannot be given with {named}"]
 
 
 def test_off_grid_observation_times_rejected():
@@ -338,6 +376,14 @@ def test_cli_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
     ({"initial_law": {"sigma": "inf"}}, "[initial_law] sigma must be finite, got 'inf'"),
     ({"experiment": {"horizon": "inf"}}, "[experiment] horizon must be finite, got 'inf'"),
     ({"potential_W": {"A": "inf"}}, "[potential_W] A must be finite, got 'inf'"),
+    # a fraction for an integer key was truncated: runs = 2.7 ran 2 runs
+    ({"dynamics": {"n": 16.9}}, "[dynamics] n must be an integer, got '16.9'"),
+    ({"dynamics": {"dim": 1.5}}, "[dynamics] dim must be an integer, got '1.5'"),
+    ({"experiment": {"runs": 2.7}}, "[experiment] runs must be an integer, got '2.7'"),
+    ({"experiment": {"seed": 7.5}}, "[experiment] seed must be an integer, got '7.5'"),
+    ({"potential_W": {"m": 2.7}}, "[potential_W] m must be an integer, got '2.7'"),
+    ({"experiment": {"obs_times": None, "obs_stride": 0.5, "obs_count": 2.5}},
+     "[experiment] obs_count must be an integer, got '2.5'"),
 ])
 def test_cli_non_finite_numbers_are_config_errors(tmp_path, capsys, overrides, error):
     out = tmp_path / "out"
@@ -425,10 +471,9 @@ def test_cli_decay_in_d2_starts_from_the_optimal_pairing(tmp_path, capsys):
     summary = load_summary(capsys.readouterr().out.strip())
     cfg = parse_config(Path(path).read_text())
     src, best = BrownianSource(7), []
-    for r in range(runs):
-        s = cfg.stream_for_run(r)
+    for s, s_b in zip(run_streams(range(runs)), run_streams(range(runs), PARTNER_STREAM)):
         xa = cfg.initial_law.sample(src, s, n, 2)
-        xb = cfg.initial_law_b.sample(src, s + cfg.PARTNER_STREAM, n, 2)
+        xb = cfg.initial_law_b.sample(src, s_b, n, 2)
         best.append(min(np.mean(np.sum((xa - xb[list(p)]) ** 2, axis=-1))
                         for p in itertools.permutations(range(n))))
     assert summary["result"]["xi"][0] == pytest.approx(np.mean(best), rel=1e-12)

@@ -1,13 +1,14 @@
 """Drift, steppers, projection, couplings and the determinism contract."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmsim.dynamics import (
-    LAW_KINDS,
+    LAW_FIELDS,
     InitialLaw,
     IntegrationError,
     StepPolicy,
@@ -21,7 +22,7 @@ from gmsim.dynamics import (
     project,
     step_batch,
 )
-from gmsim.experiments import coupled_batch, simulate_batch
+from gmsim.experiments import coupled_batch, run_streams, simulate_batch
 from gmsim.potentials import power_law, quadratic, uniform_plus_bump, zero
 from gmsim.rng import BrownianSource
 
@@ -354,7 +355,7 @@ def test_run_in_batch_is_bit_identical_to_run_alone():
     cfg = make_config(dynamics={"n": 8, "scheme": "tamed", "dt": 0.01})
     V, W, policy = cfg.potential_V, cfg.potential_W, cfg.step_policy
     src = BrownianSource(cfg.seed)
-    streams = [cfg.stream_for_run(r) for r in range(3)]
+    streams = run_streams(range(3))
     x0 = np.stack([cfg.initial_law.sample(src, s, 8, 1) for s in streams])
     x0 -= x0.mean(axis=-2, keepdims=True)
 
@@ -395,7 +396,7 @@ def test_initial_law_two_point_support():
     assert set(np.unique(x)) == {-1.0, 2.0}
 
 
-@pytest.mark.parametrize("kind", LAW_KINDS)
+@pytest.mark.parametrize("kind", LAW_FIELDS)
 @pytest.mark.parametrize("d", [1, 3])
 def test_first_particle_draws_are_the_same_for_every_n(kind, d):
     # The chaos walk rests on this: it draws the initial state and each
@@ -414,7 +415,7 @@ def test_first_particle_draws_are_the_same_for_every_n(kind, d):
             np.testing.assert_array_equal(batch_noise(src, streams, k, n, d), full[:, :n])
 
 
-@pytest.mark.parametrize("kind", LAW_KINDS)
+@pytest.mark.parametrize("kind", LAW_FIELDS)
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("full", [False, True], ids=["one_entry", "d_entries"])
 def test_batched_draw_stacks_the_draws_of_each_stream(kind, d, full):
@@ -461,9 +462,9 @@ def test_observation_schedule_fills_every_slot_of_a_shared_step():
 
 def test_simulate_horizon_zero_emits_initial_only():
     cfg = make_config(experiment={"horizon": 1.0, "obs_times": "0.0"})
-    times, pos = simulate_batch(cfg, runs=1)
+    times, pos = simulate_batch(replace(cfg, runs=1))
     assert times.tolist() == [0.0]
-    x0 = cfg.initial_law.sample(BrownianSource(cfg.seed), cfg.stream_for_run(0), cfg.n, cfg.dim)
+    x0 = cfg.initial_law.sample(BrownianSource(cfg.seed), run_streams([0])[0], cfg.n, cfg.dim)
     np.testing.assert_array_equal(pos[0, 0], x0 - x0.mean(axis=-2, keepdims=True))
 
 
@@ -476,10 +477,8 @@ def test_unprojected_mean_is_brownian():
     )
     _, pos = simulate_batch(cfg)
     means = pos[0].mean(axis=1)[:, 0]  # (runs,)
-    init = np.stack([
-        cfg.initial_law.sample(BrownianSource(cfg.seed), cfg.stream_for_run(r), 8, 1)
-        for r in range(256)
-    ]).mean(axis=1)[:, 0]
+    init = cfg.initial_law.sample(BrownianSource(cfg.seed), run_streams(range(256)), 8, 1)
+    init = init.mean(axis=1)[:, 0]
     incr = means - init
     var = incr.var(ddof=1)
     expect = 2.0 * 0.5 / 8

@@ -211,6 +211,50 @@ def test_no_noise_window_reaches_the_last_observed_step(monkeypatch):
         assert Counter(drawn) == {k: sets for k in range(7)}, name
 
 
+@pytest.mark.parametrize("threads", [1, 2], ids=["inline", "split"])
+def test_each_harness_draws_from_its_runs_role_streams(monkeypatch, threads):
+    # Run r owns stream ids 8r .. 8r + 7: its particles draw from 8r, the
+    # coupled partner's initial state from 8r + 1, the chaos scan's two
+    # auxiliary ensembles from 8r + 2 and 8r + 3.  On two threads every
+    # chunk is worth pooling, so 4 runs split (2, 2).
+    monkeypatch.setattr(experiments, "MIN_CHUNK_WORK", 1)
+    map_chunks, raw, seen, drawn = experiments._map_chunks, BrownianSource._raw, [], set()
+
+    def spy_map(fn, chunks, threads):
+        seen.append([len(c) for c in chunks])
+        return map_chunks(fn, chunks, threads)
+
+    def spy_raw(self, stream, step, count):
+        initial = np.ndim(step) == 0 and step == INIT_STEP
+        drawn.update((int(s), initial) for s in np.ravel(stream))
+        return raw(self, stream, step, count)
+
+    monkeypatch.setattr(experiments, "_map_chunks", spy_map)
+    monkeypatch.setattr(BrownianSource, "_raw", spy_raw)
+    cfg = make_config(
+        dynamics={"n": 8, "dt": 0.02},
+        initial_law_b={"kind": "gaussian", "mean": 1.0, "sigma": 0.5},
+        experiment={"horizon": 0.2, "obs_times": "0.0,0.1,0.2", "runs": 4},
+    )
+
+    def streams(*roles):  # (role, initial draw) pairs of every run
+        return {(8 * r + role, initial) for r in range(4) for role, initial in roles}
+
+    runs = {
+        "simulate": (lambda: simulate_batch(cfg, threads), streams((0, True), (0, False))),
+        "coupled": (lambda: coupled_batch(cfg, threads),
+                    streams((0, True), (1, True), (0, False))),
+        "chaos": (lambda: chaos_scan(cfg, [4, 8], 64, 4, threads),
+                  streams(*((role, i) for role in (0, 2, 3) for i in (True, False)))),
+    }
+    for name, (run, want) in runs.items():
+        seen.clear()
+        drawn.clear()
+        run()
+        assert seen == [[4] if threads == 1 else [2, 2]], name
+        assert drawn == want, name
+
+
 def test_natural_chunk_split_gives_identical_runs(monkeypatch):
     # Sizes at which _chunks splits 2 ways on its own: 64 x 64 x 2 bump pair
     # temporaries, 16 runs, and M = 16384 auxiliary particles, 4 runs.
