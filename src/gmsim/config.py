@@ -15,18 +15,13 @@ import numpy as np
 
 from . import potentials
 from .dynamics import LAW_FIELDS, InitialLaw, StepPolicy
+from .potentials import Potential
 
-# (key, Potential field, default) of the constants every potential kind
-# may declare; an integer default makes an integer key.
-_DECLARED = (
-    ("m", "growth_exponent_m", 1),
-    ("lambda", "declared_lambda", 0.0),
-    ("C", "declared_C", 0.0),
-    ("A", "declared_A", 0.0),
-    ("alpha", "declared_alpha", 0.0),
-)
-_POTENTIAL_NUMBERS = {"p", "kappa", "amplitude", "radius"}
-_POTENTIAL_KEYS = {"kind", *_POTENTIAL_NUMBERS, *(key for key, _, _ in _DECLARED)}
+# The constants a potential may declare: config key -> Potential field,
+# whose default is the key's (an integer default makes an integer key).
+_DECLARED = {"m": "growth_exponent_m", "lambda": "declared_lambda", "C": "declared_C",
+             "A": "declared_A", "alpha": "declared_alpha"}
+_POTENTIAL_KEYS = {"kind", *_DECLARED, *(k for ks in potentials.KIND_PARAMS.values() for k in ks)}
 _DYNAMICS_KEYS = {"n", "dim", "mode", "scheme", "dt"}
 _LAW_KEYS = {f.name for f in fields(InitialLaw)}
 _EXPERIMENT_KEYS = {"horizon", "obs_stride", "obs_count", "obs_times", "seed", "runs"}
@@ -52,8 +47,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    potential_V: potentials.Potential
-    potential_W: potentials.Potential
+    potential_V: Potential
+    potential_W: Potential
     n: int
     dim: int
     mode: str  # raw | projected
@@ -163,32 +158,27 @@ def _numbers(sec: dict, key: str, default, errors: list, where: str):
     return default
 
 
-def _build_potential(sec: dict, errors: list, where: str):
-    kind = sec.get("kind", "zero")
+def _build_potential(sec: dict, errors: list, where: str) -> Potential:
+    """The potential of sec from its kind's row of KIND_PARAMS and the
+    declared constants, checked by Potential; Potential() after any error."""
+    kind = sec.get("kind", Potential.kind)
+    reads = potentials.KIND_PARAMS.get(kind, {})
     reported = len(errors)
-    declared = {name: _number(sec, key, default, errors, where, type(default))
-                for key, name, default in _DECLARED}
-    params = {k: _number(sec, k, None, errors, where) for k in _POTENTIAL_NUMBERS & sec.keys()}
-    if len(errors) > reported:
-        return potentials.zero()
-    sec = {**sec, **params}
-    try:
-        if kind == "zero":
-            return potentials.zero()
-        if kind == "power_law":
-            return potentials.power_law(sec["p"], **declared)
-        if kind == "quadratic":
-            return potentials.quadratic(sec.get("kappa", 1.0), **declared)
-        if kind == "uniform_plus_bump":
-            return potentials.uniform_plus_bump(
-                sec["kappa"], sec["amplitude"], sec["radius"], **declared
-            )
-        errors.append(f"[{where}] unknown potential kind {kind!r}")
-    except KeyError as exc:
-        errors.append(f"[{where}] kind {kind!r} missing parameter {exc.args[0]!r}")
-    except ValueError as exc:
-        errors.append(f"[{where}] {exc}")
-    return potentials.zero()
+    declared = {name: _number(sec, key, getattr(Potential, name), errors, where,
+                              type(getattr(Potential, name))) for key, name in _DECLARED.items()}
+    params = {key: _number(sec, key, default, errors, where)
+              for key, default in reads.items() if key in sec or default is not None}
+    errors += [f"[{where}] kind {kind!r} missing parameter {key!r}"
+               for key in reads if key not in params]
+    if kind in potentials.KIND_PARAMS:
+        errors += [f"[{where}] kind {kind!r} does not read {key!r}"
+                   for key in sec if key not in reads and key != "kind" and key not in _DECLARED]
+    if len(errors) == reported:
+        try:
+            return Potential(kind, params, **declared)
+        except ValueError as exc:
+            errors.append(f"[{where}] {exc}")
+    return Potential()
 
 
 def _build_law(sec: dict, errors: list, where: str, dim: int) -> InitialLaw:
@@ -256,8 +246,8 @@ def parse_config(text: str) -> SimConfig:
     errors: list = []
     tree = _parse_tree(text, errors)
 
-    pv = _build_potential(tree.get("potential_V", {"kind": "zero"}), errors, "potential_V")
-    pw = _build_potential(tree.get("potential_W", {"kind": "zero"}), errors, "potential_W")
+    pv = _build_potential(tree.get("potential_V", {}), errors, "potential_V")
+    pw = _build_potential(tree.get("potential_W", {}), errors, "potential_W")
 
     dyn = tree.get("dynamics", {})
     n = _number(dyn, "n", 16, errors, "dynamics", int)
@@ -278,8 +268,8 @@ def parse_config(text: str) -> SimConfig:
     policy = StepPolicy()
     try:
         policy = StepPolicy(
-            scheme=str(dyn.get("scheme", "tamed")),
-            dt=_number(dyn, "dt", 0.01, errors, "dynamics"),
+            scheme=str(dyn.get("scheme", StepPolicy.scheme)),
+            dt=_number(dyn, "dt", StepPolicy.dt, errors, "dynamics"),
         )
     except ValueError as exc:
         errors.append(f"[dynamics] {exc}")
@@ -350,9 +340,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _potential_items(p: potentials.Potential):
-    return ([("kind", p.kind)] + sorted(p.params.items())
-            + [(key, getattr(p, name)) for key, name, _ in _DECLARED])
+def _potential_items(pot: Potential):
+    return ([("kind", pot.kind)] + sorted(pot.params.items())
+            + [(key, getattr(pot, name)) for key, name in _DECLARED.items()])
 
 
 def _law_items(law: InitialLaw):

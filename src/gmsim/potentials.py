@@ -11,7 +11,7 @@ are labeled as such.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 
 import numpy as np
@@ -22,19 +22,25 @@ QUADRATIC = "quadratic"
 UNIFORM_PLUS_BUMP = "uniform_plus_bump"
 ZERO = "zero"
 
-_KINDS = (POWER_LAW, QUADRATIC, UNIFORM_PLUS_BUMP, ZERO)
+# The parameters each kind reads, each with the default a config may leave
+# out, or None when the config must give it.
+KIND_PARAMS = {
+    POWER_LAW: {"p": None}, QUADRATIC: {"kappa": 1.0}, ZERO: {},
+    UNIFORM_PLUS_BUMP: {"kappa": None, "amplitude": None, "radius": None},
+}
 
 
 @dataclass(frozen=True)
 class Potential:
     """Radially symmetric potential with an analytic gradient.
 
-    kind selects the functional form; params holds its numeric parameters.
-    The declared_* fields carry the constants the user asserts for the
-    structural conditions; checkers verify them, they are never inferred.
+    kind, a key of KIND_PARAMS (zero by default), selects the functional
+    form; params holds the parameters KIND_PARAMS lists for it.  The later
+    fields carry the constants asserted for the structural conditions, never
+    inferred: checkers verify them, and the zero potential, meeting none, declares none.
     """
 
-    kind: str
+    kind: str = ZERO
     params: dict = field(default_factory=dict)
     growth_exponent_m: int = 1
     declared_lambda: float = 0.0
@@ -43,14 +49,18 @@ class Potential:
     declared_alpha: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KIND_PARAMS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == POWER_LAW and self.params["p"] < 2:
             raise ValueError("power_law exponent must be >= 2")
         if self.kind == QUADRATIC and self.params["kappa"] <= 0:
             raise ValueError("quadratic stiffness must be > 0")
+        if self.kind == UNIFORM_PLUS_BUMP and self.params["radius"] <= 0:
+            raise ValueError("uniform_plus_bump radius must be > 0")
         if self.growth_exponent_m < 0:
             raise ValueError("m must be >= 0")
+        if self.is_zero and any(getattr(self, f.name) != f.default for f in fields(self)[2:]):
+            raise ValueError("the zero potential declares no constant (m, lambda, C, A, alpha)")
 
     @property
     def is_zero(self) -> bool:
@@ -165,13 +175,13 @@ def power_law(p: float, **declared) -> Potential:
     return Potential(POWER_LAW, {"p": float(p)}, **declared)
 
 
-def quadratic(kappa: float = 1.0, **declared) -> Potential:
+def quadratic(kappa: float = KIND_PARAMS[QUADRATIC]["kappa"], **declared) -> Potential:
     """W(x) = kappa |x|^2, gradient 2 kappa x."""
     return Potential(QUADRATIC, {"kappa": float(kappa)}, **declared)
 
 
 def zero() -> Potential:
-    return Potential(ZERO)
+    return Potential()
 
 
 def uniform_plus_bump(kappa: float, amplitude: float, radius: float, **declared) -> Potential:

@@ -212,9 +212,20 @@ def test_obs_stride_generates_grid():
     assert cfg.observation_times == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def test_round_trip_is_structural_identity():
+# A potential_W for every kind; quadratic leaves kappa to its default,
+# which the canonical text then spells out.
+ROUND_TRIP_W = {
+    potentials.POWER_LAW: {"p": 3.0},
+    potentials.QUADRATIC: {"p": None, "lambda": 2.0},
+    potentials.UNIFORM_PLUS_BUMP: {"p": None, "kappa": 1.0, "amplitude": 0.7, "radius": 2.0},
+    potentials.ZERO: {"p": None, "m": None, "A": None, "alpha": None},
+}
+
+
+@pytest.mark.parametrize("kind", potentials.KIND_PARAMS)
+def test_round_trip_is_structural_identity(kind):
     cfg = make_config(
-        potential_W={"kind": "power_law", "p": 4.0, "m": 3, "A": 4.0, "alpha": 2.0},
+        potential_W={"kind": kind, **ROUND_TRIP_W[kind]},
         initial_law={"kind": "two_point", "point_a": -1.0, "point_b": 1.0},
         initial_law_b={"kind": "gaussian", "mean": 2.0, "sigma": 0.5},
     )
@@ -222,6 +233,10 @@ def test_round_trip_is_structural_identity():
     again = parse_config(text)
     assert again == cfg
     assert canonical_text(again) == text
+    assert f"[potential_W]\nkind = {kind}\n" in text
+    if kind == potentials.QUADRATIC:
+        assert cfg.potential_W.params == {"kappa": 1.0}
+        assert "\nkappa = 1.0\n" in text
 
 
 def test_config_hash_stable_and_sensitive():
@@ -285,6 +300,39 @@ def test_potential_parameter_errors_reported():
         make_config(potential_W={"kind": "power_law", "p": None})
     with pytest.raises(ConfigError, match=">= 2"):
         make_config(potential_W={"kind": "power_law", "p": 1.0})
+    # one error for each parameter the kind needs and the config lacks
+    with pytest.raises(ConfigError) as exc:
+        make_config(potential_W={"kind": "uniform_plus_bump", "p": None, "amplitude": 0.7})
+    assert exc.value.errors == [
+        "[potential_W] kind 'uniform_plus_bump' missing parameter 'kappa'",
+        "[potential_W] kind 'uniform_plus_bump' missing parameter 'radius'",
+    ]
+
+
+def test_a_parameter_the_kind_does_not_read_is_refused():
+    # a stray key would otherwise load and be left out of the canonical text
+    # and the hash
+    with pytest.raises(ConfigError) as exc:
+        make_config(potential_V={"kappa": 1.0}, potential_W={"kind": "quadratic"})
+    assert exc.value.errors == [
+        "[potential_V] kind 'zero' does not read 'kappa'",
+        "[potential_W] kind 'quadratic' does not read 'p'",
+    ]
+    # every other key is a declared constant, which every kind reads
+    cfg = make_config(potential_W={"kind": "quadratic", "p": None, "lambda": 1.0, "C": 0.5})
+    assert cfg.potential_W.declared_C == 0.5
+
+
+def test_the_zero_potential_declares_no_constant():
+    # no checker probes a zero potential, so a constant it declared would
+    # reach a verdict unchecked
+    with pytest.raises(ConfigError) as exc:
+        make_config(potential_V={"m": 2, "lambda": 1.0, "C": 0.0, "A": 1.0, "alpha": 0.0})
+    assert exc.value.errors == [
+        "[potential_V] the zero potential declares no constant (m, lambda, C, A, alpha)",
+    ]
+    # the defaults, which the canonical text spells out, load
+    assert make_config(potential_V={"m": 1, "lambda": 0.0}).potential_V == potentials.zero()
 
 
 def test_negative_growth_exponent_joins_the_all_errors_report():
@@ -353,6 +401,39 @@ def test_cli_sampled_potential_kind_is_unknown(tmp_path, capsys):
     assert run_cli(["check-potential", "--config", path]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == "config error: [potential_W] unknown potential kind 'sampled'\n"
+
+
+@pytest.mark.parametrize("radius", ["0", "-2"])
+@pytest.mark.parametrize("command", ["simulate", "check-potential"])
+def test_cli_bump_radius_must_be_positive(tmp_path, capsys, command, radius):
+    # radius = 0 died dividing by zero mid-run; radius = -2 ran as radius 2
+    # under another hash.
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, output={"dir": str(out)}, potential_W={
+        "kind": "uniform_plus_bump", "p": None, "kappa": 1.0, "amplitude": 0.7,
+        "radius": radius})
+    argv = [command, "--config", path] + (["--seed", "1"] if command == "simulate" else [])
+    assert run_cli(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "config error: [potential_W] uniform_plus_bump radius must be > 0\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, declared", [("concentration", {"lambda": 1.0}),
+                                               ("decay", {"A": 4.0})])
+def test_cli_zero_w_with_a_declared_constant_is_a_config_error(tmp_path, capsys, command,
+                                                               declared):
+    # the constant would drive the harness's bound with no checker behind it
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, output={"dir": str(out)}, dynamics={"mode": "raw"}, potential_W={
+        "kind": "zero", "p": None, "m": None, "A": None, "alpha": None, **declared})
+    assert run_cli([command, "--config", path, "--seed", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: [potential_W] the zero potential declares no "
+                            "constant (m, lambda, C, A, alpha)\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -499,7 +499,7 @@ def test_coupled_simulate_identical_start_stays_zero():
 
 def test_coupled_simulate_quadratic_matches_linear_ode():
     cfg = make_config(
-        potential_W={"kind": "quadratic", "kappa": 1.0},
+        potential_W={"kind": "quadratic", "kappa": 1.0, "p": None},
         dynamics={"n": 16, "scheme": "euler", "dt": 1e-3},
         experiment={"horizon": 0.5, "obs_times": "0.0,0.25,0.5", "runs": 1},
         initial_law={"kind": "gaussian", "sigma": 1.0},

@@ -537,7 +537,7 @@ def test_pipeline_t1_constant_from_declared():
 
 def test_pipeline_t1_constant_infinite_without_convexity():
     # no declared lambda, no T_1 constant: the bound is refused, not inferred
-    cfg = make_config(potential_W={"kind": "zero"})
+    cfg = make_config(potential_W={"kind": "zero", "p": None, "m": None, "A": None, "alpha": None})
     with pytest.raises(ValueError, match="lambda"):
         pipeline_t1_constant(cfg)
 
@@ -574,6 +574,35 @@ def test_concentration_tail_monotone_in_r():
     res = concentration_suite(cfg, f_name="coordinate", T=1.0, trials=200)
     assert np.all(np.diff(res.empirical_tail) <= 0)
     assert res.trials == 200
+
+
+@pytest.mark.parametrize("T", [0.5, 2.0, 5.0])
+def test_concentration_tail_matches_the_gaussian_centre_of_mass(T):
+    # With V = kappa_v |x|^2, a quadratic W, raw mode and Euler steps, the
+    # pair forces cancel in the coordinate's particle average S, an exact
+    # Gaussian AR(1): S_{k+1} = a S_k + sqrt(2 dt) xi_k with
+    # a = 1 - 2 kappa_v dt, xi_k ~ N(0, 1/N) and S_0 ~ N(0, sigma0^2 / N).
+    # sigma0 = 0.5 keeps every particle far inside the clamp at 10, so the
+    # tail is erfc(r / sqrt(2 Var S_T)) / 2.
+    kappa_v, n, dt, sigma0, trials = 0.5, 8, 0.01, 0.5, 1000
+    cfg = make_config(
+        potential_V={"kind": "quadratic", "kappa": kappa_v},
+        # (lambda, C) = (1, 0), which c_pipeline needs
+        potential_W={"kind": "quadratic", "kappa": 0.5, "lambda": 1.0, "C": 0.0,
+                     "A": None, "alpha": None, "m": 1, "p": None},
+        dynamics={"n": n, "mode": "raw", "scheme": "euler", "dt": dt},
+        initial_law={"kind": "gaussian", "sigma": sigma0},
+        experiment={"horizon": 5.0, "obs_times": "5.0", "runs": 1},
+    )
+    res = concentration_suite(cfg, f_name="coordinate", T=T, trials=trials)
+    a2 = (1.0 - 2.0 * kappa_v * dt) ** 2
+    a2k = a2 ** round(T / dt)
+    var = (a2k * sigma0**2 + 2.0 * dt * (1.0 - a2k) / (1.0 - a2)) / n
+    exact = np.array([0.5 * math.erfc(r / math.sqrt(2.0 * var)) for r in res.r_grid])
+    se = np.sqrt(exact * (1.0 - exact) / trials)
+    keep = ~res.unreliable
+    assert keep.sum() >= 3
+    assert np.all(np.abs(res.empirical_tail - exact)[keep] <= 4.0 * se[keep])
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_moment_stationary_projected_quadratic():
 
     n = 8
     cfg = make_config(
-        potential_W={"kind": "quadratic", "kappa": 1.0},
+        potential_W={"kind": "quadratic", "kappa": 1.0, "p": None},
         dynamics={"n": n, "scheme": "euler", "dt": 0.005},
         experiment={"horizon": 4.0, "obs_times": "2.0,2.5,3.0,3.5,4.0", "runs": 64},
     )

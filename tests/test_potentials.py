@@ -8,7 +8,9 @@ from scipy.stats import qmc
 from gmsim.potentials import (
     EXTENT,
     PROBES,
+    ZERO,
     ConditionReport,
+    Potential,
     _probe_pairs,
     check_condition_C,
     check_convexity_at_infinity,
@@ -64,6 +66,20 @@ def test_gradient_oddness_exact(x):
 def test_power_law_exponent_below_two_rejected():
     with pytest.raises(ValueError):
         power_law(1.0)
+
+
+@pytest.mark.parametrize("radius", [0.0, -2.0])
+def test_bump_radius_must_be_positive(radius):
+    with pytest.raises(ValueError, match="radius must be > 0"):
+        uniform_plus_bump(1.0, 0.7, radius)
+
+
+def test_the_zero_potential_declares_no_constant():
+    with pytest.raises(ValueError, match="zero potential declares no constant"):
+        Potential(ZERO, declared_lambda=1.0)
+    with pytest.raises(ValueError, match="zero potential declares no constant"):
+        Potential(growth_exponent_m=3)
+    assert Potential() == zero()
 
 
 def test_finite_difference_order_two():
