@@ -9,31 +9,38 @@ import difflib
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import potentials
-from .dynamics import LAW_FIELDS, InitialLaw, StepPolicy
+from .dynamics import LAW_PARAMS, InitialLaw, StepPolicy
 from .potentials import Potential
 
-# The constants a potential may declare: config key -> Potential field,
-# whose default is the key's (an integer default makes an integer key).
-_DECLARED = {"m": "growth_exponent_m", "lambda": "declared_lambda", "C": "declared_C",
-             "A": "declared_A", "alpha": "declared_alpha"}
-_POTENTIAL_KEYS = {"kind", *_DECLARED, *(k for ks in potentials.KIND_PARAMS.values() for k in ks)}
-_DYNAMICS_KEYS = {"n", "dim", "mode", "scheme", "dt"}
-_LAW_KEYS = {f.name for f in fields(InitialLaw)}
-_EXPERIMENT_KEYS = {"horizon", "obs_stride", "obs_count", "obs_times", "seed", "runs"}
-_OUTPUT_KEYS = {"dir", "formats"}
+# Each kinded model: the table of the parameters its kinds read, and the
+# constants it declares besides, config key -> field, whose default is the
+# key's (an integer default makes an integer key).
+_KINDED = {
+    Potential: (potentials.KIND_PARAMS, {
+        "m": "growth_exponent_m", "lambda": "declared_lambda", "C": "declared_C",
+        "A": "declared_A", "alpha": "declared_alpha"}),
+    InitialLaw: (LAW_PARAMS, {}),
+}
+
+
+def _kinded_keys(cls) -> set:
+    table, declared = _KINDED[cls]
+    return {"kind", *declared, *(key for row in table.values() for key in row)}
+
+
 _SECTIONS = {
-    "potential_V": _POTENTIAL_KEYS,
-    "potential_W": _POTENTIAL_KEYS,
-    "dynamics": _DYNAMICS_KEYS,
-    "initial_law": _LAW_KEYS,
-    "initial_law_b": _LAW_KEYS,
-    "experiment": _EXPERIMENT_KEYS,
-    "output": _OUTPUT_KEYS,
+    "potential_V": _kinded_keys(Potential),
+    "potential_W": _kinded_keys(Potential),
+    "dynamics": {"n", "dim", "mode", "scheme", "dt"},
+    "initial_law": _kinded_keys(InitialLaw),
+    "initial_law_b": _kinded_keys(InitialLaw),
+    "experiment": {"horizon", "obs_stride", "obs_count", "obs_times", "seed", "runs"},
+    "output": {"dir", "formats"},
 }
 
 
@@ -158,50 +165,35 @@ def _numbers(sec: dict, key: str, default, errors: list, where: str):
     return default
 
 
-def _build_potential(sec: dict, errors: list, where: str) -> Potential:
-    """The potential of sec from its kind's row of KIND_PARAMS and the
-    declared constants, checked by Potential; Potential() after any error."""
-    kind = sec.get("kind", Potential.kind)
-    reads = potentials.KIND_PARAMS.get(kind, {})
+def _build_kinded(cls, sec: dict, errors: list, where: str, dim: int = 1):
+    """The cls (a key of _KINDED) of sec, from its kind's row of the table
+    and the declared constants, checked by cls; cls() after any error.  A
+    list parameter must have 1 or dim entries (no potential kind reads a
+    list, so potentials leave dim out)."""
+    table, declared_keys = _KINDED[cls]
+    kind = str(sec.get("kind", cls.kind))
+    reads = table.get(kind, {})
     reported = len(errors)
-    declared = {name: _number(sec, key, getattr(Potential, name), errors, where,
-                              type(getattr(Potential, name))) for key, name in _DECLARED.items()}
-    params = {key: _number(sec, key, default, errors, where)
+    declared = {name: _number(sec, key, getattr(cls, name), errors, where,
+                              type(getattr(cls, name))) for key, name in declared_keys.items()}
+    params = {key: (_numbers if isinstance(default, tuple) else _number)(
+                  sec, key, default, errors, where)
               for key, default in reads.items() if key in sec or default is not None}
     errors += [f"[{where}] kind {kind!r} missing parameter {key!r}"
                for key in reads if key not in params]
-    if kind in potentials.KIND_PARAMS:
+    if kind in table:
         errors += [f"[{where}] kind {kind!r} does not read {key!r}"
-                   for key in sec if key not in reads and key != "kind" and key not in _DECLARED]
+                   for key in sec if key not in reads and key != "kind" and key not in declared_keys]
+    errors += [f"[{where}] {key} must have 1 or dim = {dim} entries, got {len(value)}"
+               for key, value in params.items()
+               if isinstance(value, tuple) and len(value) not in (1, dim)]
     if len(errors) == reported:
         try:
-            return Potential(kind, params, **declared)
+            return cls(kind, params, **declared)
         except ValueError as exc:
-            errors.append(f"[{where}] {exc}")
-    return Potential()
-
-
-def _build_law(sec: dict, errors: list, where: str, dim: int) -> InitialLaw:
-    """The law of sec; its kind's fields, those _law_items renders, are
-    checked against dim and their ranges."""
-    kind = str(sec.get("kind", InitialLaw.kind))
-    if kind not in LAW_FIELDS:
-        hint = _did_you_mean(kind, LAW_FIELDS)
-        errors.append(f"[{where}] unknown initial law kind {kind!r}{hint}")
-    values = {}
-    for f in fields(InitialLaw)[1:]:  # the fields after kind, each with its default
-        read = _numbers if isinstance(f.default, tuple) else _number
-        values[f.name] = read(sec, f.name, f.default, errors, where)
-    law = InitialLaw(kind=kind, **values)
-    for key, value in _law_items(law)[1:]:
-        if isinstance(value, tuple):
-            if len(value) not in (1, dim):
-                errors.append(f"[{where}] {key} must have 1 or dim = {dim} entries, "
-                              f"got {len(value)}")
-        elif not 0.0 <= value <= (1.0 if key == "weight" else math.inf):
-            rule = "in [0, 1]" if key == "weight" else ">= 0"
-            errors.append(f"[{where}] {key} must be {rule}, got {value!r}")
-    return law
+            hint = "" if kind in table else _did_you_mean(kind, table)
+            errors.append(f"[{where}] {exc}{hint}")
+    return cls()
 
 
 def _observation_times(exp: dict, horizon: float, dt: float, errors: list):
@@ -246,8 +238,8 @@ def parse_config(text: str) -> SimConfig:
     errors: list = []
     tree = _parse_tree(text, errors)
 
-    pv = _build_potential(tree.get("potential_V", {}), errors, "potential_V")
-    pw = _build_potential(tree.get("potential_W", {}), errors, "potential_W")
+    pv = _build_kinded(Potential, tree.get("potential_V", {}), errors, "potential_V")
+    pw = _build_kinded(Potential, tree.get("potential_W", {}), errors, "potential_W")
 
     dyn = tree.get("dynamics", {})
     n = _number(dyn, "n", 16, errors, "dynamics", int)
@@ -296,8 +288,8 @@ def parse_config(text: str) -> SimConfig:
     if runs < 1:
         errors.append("[experiment] runs must be >= 1")
 
-    law = _build_law(tree.get("initial_law", {}), errors, "initial_law", dim)
-    law_b = (_build_law(tree["initial_law_b"], errors, "initial_law_b", dim)
+    law = _build_kinded(InitialLaw, tree.get("initial_law", {}), errors, "initial_law", dim)
+    law_b = (_build_kinded(InitialLaw, tree["initial_law_b"], errors, "initial_law_b", dim)
              if "initial_law_b" in tree else None)
 
     out = tree.get("output", {})
@@ -340,21 +332,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _potential_items(pot: Potential):
-    return ([("kind", pot.kind)] + sorted(pot.params.items())
-            + [(key, getattr(pot, name)) for key, name in _DECLARED.items()])
-
-
-def _law_items(law: InitialLaw):
-    return [("kind", law.kind)] + [(k, getattr(law, k)) for k in LAW_FIELDS.get(law.kind, ())]
+def _kinded_items(obj):
+    """The kind, the params sorted, then the constants obj declares."""
+    return ([("kind", obj.kind)] + sorted(obj.params.items())
+            + [(key, getattr(obj, name)) for key, name in _KINDED[type(obj)][1].items()])
 
 
 def _result_sections(cfg: SimConfig) -> list:
     """(section, items) for every section that determines a result: all
     but [output]."""
     sections = [
-        ("potential_V", _potential_items(cfg.potential_V)),
-        ("potential_W", _potential_items(cfg.potential_W)),
+        ("potential_V", _kinded_items(cfg.potential_V)),
+        ("potential_W", _kinded_items(cfg.potential_W)),
         ("dynamics", [
             ("n", cfg.n),
             ("dim", cfg.dim),
@@ -362,10 +351,10 @@ def _result_sections(cfg: SimConfig) -> list:
             ("scheme", cfg.step_policy.scheme),
             ("dt", cfg.step_policy.dt),
         ]),
-        ("initial_law", _law_items(cfg.initial_law)),
+        ("initial_law", _kinded_items(cfg.initial_law)),
     ]
     if cfg.initial_law_b is not None:
-        sections.append(("initial_law_b", _law_items(cfg.initial_law_b)))
+        sections.append(("initial_law_b", _kinded_items(cfg.initial_law_b)))
     sections.append(("experiment", [
         ("horizon", cfg.horizon),
         ("obs_times", cfg.observation_times),
@@ -406,7 +395,6 @@ def declared_reports(cfg: SimConfig) -> list:
     potential_W declares, probed by the condition checkers."""
     return [(name, rep)
             for name, pot in (("potential_V", cfg.potential_V), ("potential_W", cfg.potential_W))
-            if not pot.is_zero
             for rep in potentials.check_declared(pot, cfg.dim)]
 
 

@@ -16,7 +16,7 @@ the thread count.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,9 +25,10 @@ from .rng import INIT_STEP, BrownianSource
 
 EULER = "euler"
 TAMED = "tamed"
-# The fields each InitialLaw kind reads, in the order configs render them.
-LAW_FIELDS = {"gaussian": ("mean", "sigma"), "uniform": ("half_width",),
-              "two_point": ("point_a", "point_b", "weight")}
+# The parameters each InitialLaw kind reads, each with the default a config
+# may leave out; a tuple default makes a list of 1 or dim entries.
+LAW_PARAMS = {"gaussian": {"mean": (0.0,), "sigma": 1.0}, "uniform": {"half_width": 1.0},
+              "two_point": {"point_a": (0.0,), "point_b": (1.0,), "weight": 0.5}}
 
 
 class IntegrationError(RuntimeError):
@@ -50,35 +51,39 @@ class StepPolicy:
 class InitialLaw:
     """Initial distribution for the particle positions.
 
-    kind is a key of LAW_FIELDS, which lists the fields it reads; the
-    field defaults are the config's.  sample draws one ensemble
-    (n, dim) for one stream, or a batch (runs, n, dim) for a list of
-    streams in one call on the source, row r bit-identical to the draw of
-    streams[r] alone.  Projected runs recentre the draw with project.
+    kind, a key of LAW_PARAMS (gaussian by default, the standard normal),
+    selects the law; params holds the parameters LAW_PARAMS lists for it.
+    sample draws one ensemble (n, dim) for one stream, or a batch
+    (runs, n, dim) for a list of streams in one call on the source, row r
+    bit-identical to the draw of streams[r] alone.  Projected runs recentre
+    the draw with project.
     """
 
     kind: str = "gaussian"
-    mean: tuple = (0.0,)
-    sigma: float = 1.0
-    half_width: float = 1.0
-    point_a: tuple = (0.0,)
-    point_b: tuple = (1.0,)
-    weight: float = 0.5
+    params: dict = field(default_factory=LAW_PARAMS["gaussian"].copy)
+
+    def __post_init__(self):
+        if self.kind not in LAW_PARAMS:
+            raise ValueError(f"unknown initial law kind {self.kind!r}")
+        for key, value in self.params.items():
+            if key == "weight" and not 0.0 <= value <= 1.0:
+                raise ValueError(f"weight must be in [0, 1], got {value!r}")
+            if key in ("sigma", "half_width") and not value >= 0.0:
+                raise ValueError(f"{key} must be >= 0, got {value!r}")
 
     def sample(self, source: BrownianSource, stream, n: int, dim: int) -> np.ndarray:
         shape = (n, dim) if np.ndim(stream) == 0 else (len(stream), n, dim)
+        p = self.params
         if self.kind == "gaussian":
             xi = source.normals(stream, INIT_STEP, n * dim).reshape(shape)
-            x = np.asarray(self.mean, float) + self.sigma * xi
+            x = np.asarray(p["mean"], float) + p["sigma"] * xi
         elif self.kind == "uniform":
             u = source.uniforms(stream, INIT_STEP, n * dim).reshape(shape)
-            x = (2.0 * u - 1.0) * self.half_width
-        elif self.kind == "two_point":
+            x = (2.0 * u - 1.0) * p["half_width"]
+        else:  # two_point
             u = source.uniforms(stream, INIT_STEP, n).reshape(shape[:-1] + (1,))
-            x = np.where(u < self.weight, np.asarray(self.point_a, float),
-                         np.asarray(self.point_b, float))
-        else:
-            raise ValueError(f"unknown initial law kind {self.kind!r}")
+            x = np.where(u < p["weight"], np.asarray(p["point_a"], float),
+                         np.asarray(p["point_b"], float))
         return np.broadcast_to(x, shape).astype(float)
 
 

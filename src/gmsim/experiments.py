@@ -480,7 +480,7 @@ def exp_square_moment_experiment(config: SimConfig, delta: float = 0.1, threads:
     """
     V, law = config.potential_V, config.initial_law
     if not (V.kind == QUADRATIC and config.potential_W.is_zero and config.mode == "raw"
-            and law.kind == "two_point" and law.point_a == law.point_b):
+            and law.kind == "two_point" and law.params["point_a"] == law.params["point_b"]):
         raise ValueError(
             "exp_square_moment_experiment needs a quadratic potential_V, a zero "
             "potential_W, mode = raw and a point-mass two_point initial law"

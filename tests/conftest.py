@@ -10,7 +10,7 @@ DEFAULTS = {
     "potential_V": {"kind": "zero"},
     "potential_W": {"kind": "power_law", "p": 4.0, "m": 3, "A": 4.0, "alpha": 2.0},
     "dynamics": {"n": 16, "dim": 1, "mode": "projected", "scheme": "tamed", "dt": 0.01},
-    "initial_law": {"kind": "gaussian", "sigma": 1.0},
+    "initial_law": {"kind": "gaussian"},
     "experiment": {"horizon": 1.0, "obs_times": "0.0,0.5,1.0", "seed": 7, "runs": 4},
     "output": {"dir": "out"},
 }

@@ -20,7 +20,7 @@ from gmsim.config import (
     parse_config,
     validate_potentials,
 )
-from gmsim.dynamics import observation_steps
+from gmsim.dynamics import LAW_PARAMS, observation_steps
 from gmsim.experiments import PARTNER_STREAM, run_streams
 from gmsim.metrics import ExpSquareMomentSeries, MomentSeries
 from gmsim.rng import BrownianSource
@@ -168,6 +168,7 @@ def test_removed_and_unknown_inputs_are_one_report_line_each():
         dynamics={"scheme": "adaptive", "dt_min": 1e-6, "adaptive_drift_cap": 0.5},
         initial_law={"kind": "gausian", "center_to_zero": "true"},
         initial_law_b={"kind": "sample_file"},
+        potential_W={"kind": "power_lw"},
     )
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
@@ -179,6 +180,7 @@ def test_removed_and_unknown_inputs_are_one_report_line_each():
         "[dynamics] unknown scheme 'adaptive'",
         "[initial_law] unknown initial law kind 'gausian' (did you mean 'gaussian'?)",
         "[initial_law_b] unknown initial law kind 'sample_file'",
+        "[potential_W] unknown potential kind 'power_lw' (did you mean 'power_law'?)",
     ]
     assert len(errors) == len(expected)
     for frag in expected:
@@ -199,8 +201,8 @@ def test_removed_and_unknown_inputs_are_one_report_line_each():
      "[initial_law_b] weight must be in [0, 1], got -0.25"),
 ])
 def test_bad_initial_law_fields_are_rejected_at_load(section, law, error):
-    # Only the fields of the law's kind are checked: the default sigma of
-    # the two_point laws is not rendered and not in the way.
+    # Each parameter the law's kind reads is checked against dim and its
+    # range, the list lengths here and the ranges by InitialLaw.
     with pytest.raises(ConfigError) as exc:
         make_config(dynamics={"dim": 2}, experiment={"runs": 0}, **{section: law})
     assert exc.value.errors == ["[experiment] runs must be >= 1", error]
@@ -237,6 +239,34 @@ def test_round_trip_is_structural_identity(kind):
     if kind == potentials.QUADRATIC:
         assert cfg.potential_W.params == {"kappa": 1.0}
         assert "\nkappa = 1.0\n" in text
+
+
+# An initial law for every kind in d = 2; uniform leaves half_width to its
+# default, which the canonical text then spells out.
+ROUND_TRIP_LAW = {
+    "gaussian": {"mean": "2.0,-1.0", "sigma": 0.5},
+    "uniform": {},
+    "two_point": {"point_a": "-1.0,0.5", "point_b": "1.0,2.0", "weight": 0.25},
+}
+
+
+@pytest.mark.parametrize("section", ["initial_law", "initial_law_b"])
+@pytest.mark.parametrize("kind", LAW_PARAMS)
+def test_round_trip_covers_every_initial_law_kind(kind, section):
+    cfg = make_config(dynamics={"dim": 2}, **{section: {"kind": kind, **ROUND_TRIP_LAW[kind]}})
+    text = canonical_text(cfg)
+    again = parse_config(text)
+    assert again == cfg
+    assert canonical_text(again) == text
+    law = getattr(cfg, section)
+    assert law.kind == kind and sorted(law.params) == sorted(LAW_PARAMS[kind])
+    assert f"[{section}]\nkind = {kind}\n" in text
+    if kind == "uniform":
+        assert law.params == {"half_width": 1.0}
+        assert "\nhalf_width = 1.0\n" in text
+    if kind == "two_point":
+        assert law.params["point_a"] == (-1.0, 0.5)
+        assert "\npoint_a = -1.0,0.5\npoint_b = 1.0,2.0\nweight = 0.25\n" in text
 
 
 def test_config_hash_stable_and_sensitive():
@@ -472,6 +502,26 @@ def test_cli_non_finite_numbers_are_config_errors(tmp_path, capsys, overrides, e
     assert run_cli(["simulate", "--config", path, "--seed", "1"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err == f"config error: {error}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_initial_law_parameter_its_kind_does_not_read_exits_usage(tmp_path, capsys):
+    # the [initial_law] alone ran and exited 0, its stray keys unread and
+    # out of the hash
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, output={"dir": str(out)},
+                     initial_law={"kind": "uniform", "sigma": -5.0, "mean": "1.0,2.0,3.0",
+                                  "weight": 7},
+                     initial_law_b={"kind": "two_point", "half_width": 2.0})
+    assert run_cli(["simulate", "--config", path, "--seed", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "".join(f"config error: {e}\n" for e in [
+        "[initial_law] kind 'uniform' does not read 'sigma'",
+        "[initial_law] kind 'uniform' does not read 'mean'",
+        "[initial_law] kind 'uniform' does not read 'weight'",
+        "[initial_law_b] kind 'two_point' does not read 'half_width'",
+    ])
     assert captured.out == ""
     assert not out.exists()
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmsim.dynamics import (
-    LAW_FIELDS,
+    LAW_PARAMS,
     InitialLaw,
     IntegrationError,
     StepPolicy,
@@ -390,13 +390,20 @@ def test_coupled_difference_is_noise_free():
 # ---------------------------------------------------------------------------
 # initial laws and couplings
 
+def law_of(kind, **values):
+    """The law of kind with the values it reads, LAW_PARAMS' defaults for
+    the rest."""
+    return InitialLaw(kind, {key: values.get(key, default)
+                             for key, default in LAW_PARAMS[kind].items()})
+
+
 def test_initial_law_two_point_support():
-    law = InitialLaw(kind="two_point", point_a=(-1.0,), point_b=(2.0,), weight=0.5)
+    law = InitialLaw("two_point", {"point_a": (-1.0,), "point_b": (2.0,), "weight": 0.5})
     x = law.sample(BrownianSource(4), 0, 200, 1)
     assert set(np.unique(x)) == {-1.0, 2.0}
 
 
-@pytest.mark.parametrize("kind", LAW_FIELDS)
+@pytest.mark.parametrize("kind", LAW_PARAMS)
 @pytest.mark.parametrize("d", [1, 3])
 def test_first_particle_draws_are_the_same_for_every_n(kind, d):
     # The chaos walk rests on this: it draws the initial state and each
@@ -404,7 +411,7 @@ def test_first_particle_draws_are_the_same_for_every_n(kind, d):
     # first n rows and both proxies row 0.  So every n-row draw must be the
     # n-row prefix of a larger one.
     src, streams = BrownianSource(5), [0, 8, 40]
-    law = InitialLaw(kind=kind, mean=(0.5,), sigma=2.0, half_width=3.0, weight=0.4)
+    law = law_of(kind, mean=(0.5,), sigma=2.0, half_width=3.0, weight=0.4)
     for s in streams:
         full = law.sample(src, s, 17, d)
         for n in (1, 2, 16):
@@ -415,13 +422,13 @@ def test_first_particle_draws_are_the_same_for_every_n(kind, d):
             np.testing.assert_array_equal(batch_noise(src, streams, k, n, d), full[:, :n])
 
 
-@pytest.mark.parametrize("kind", LAW_FIELDS)
+@pytest.mark.parametrize("kind", LAW_PARAMS)
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("full", [False, True], ids=["one_entry", "d_entries"])
 def test_batched_draw_stacks_the_draws_of_each_stream(kind, d, full):
     point = tuple(0.5 + np.arange(d if full else 1))
-    law = InitialLaw(kind=kind, mean=point, sigma=0.7, half_width=1.5, point_a=point,
-                     point_b=tuple(-p for p in point), weight=0.3)
+    law = law_of(kind, mean=point, sigma=0.7, half_width=1.5, point_a=point,
+                 point_b=tuple(-p for p in point), weight=0.3)
     src, streams = BrownianSource(9), [0, 1, 8, 41]
     want = np.stack([law.sample(src, s, 5, d) for s in streams])
     np.testing.assert_array_equal(law.sample(src, streams, 5, d), want)
@@ -429,8 +436,8 @@ def test_batched_draw_stacks_the_draws_of_each_stream(kind, d, full):
 
 def test_couple_initial_comonotone_sorts():
     src = BrownianSource(1)
-    xa = InitialLaw(kind="gaussian", sigma=1.0).sample(src, 0, 16, 1)
-    xb = InitialLaw(kind="gaussian", sigma=2.0).sample(src, 1, 16, 1)
+    xa = law_of("gaussian", sigma=1.0).sample(src, 0, 16, 1)
+    xb = law_of("gaussian", sigma=2.0).sample(src, 1, 16, 1)
     xa, xb = couple_initial(xa, xb)
     assert np.all(np.diff(xa[:, 0]) >= 0)
     assert np.all(np.diff(xb[:, 0]) >= 0)
@@ -440,8 +447,8 @@ def test_couple_initial_optimal_matches_sorted_in_1d():
     # The assignment used for d > 1, on points of a line embedded in d = 2,
     # finds the monotone pairing: the optimal one for squared cost in 1-d.
     src = BrownianSource(2)
-    xa = InitialLaw(kind="gaussian", sigma=1.0).sample(src, 0, 12, 1)
-    xb = InitialLaw(kind="gaussian", mean=(1.0,), sigma=0.5).sample(src, 1, 12, 1)
+    xa = law_of("gaussian", sigma=1.0).sample(src, 0, 12, 1)
+    xb = law_of("gaussian", mean=(1.0,), sigma=0.5).sample(src, 1, 12, 1)
     ya, yb = couple_initial(xa, xb)
     za, zb = couple_initial(*(np.hstack([x, np.zeros_like(x)]) for x in (xa, xb)))
     assert np.sum((za - zb) ** 2) == pytest.approx(np.sum((ya - yb) ** 2), rel=1e-12)

@@ -336,7 +336,7 @@ def test_uniform_convex_decay_rate_scales_with_kappa():
 
 
 def test_uniform_convex_decay_zero_start_skips_fit():
-    point = InitialLaw(kind="two_point", point_a=(0.0,), point_b=(0.0,))
+    point = InitialLaw("two_point", {"point_a": (0.0,), "point_b": (0.0,), "weight": 0.5})
     cfg = replace(quadratic_decay_config(), initial_law=point, initial_law_b=point)
     res = uniform_convex_decay(cfg)
     assert np.all(res.xi == 0.0)
@@ -507,7 +507,7 @@ def test_exp_square_moment_experiment_matches_closed_form_at_kappa_one():
 def test_exp_square_moment_experiment_rejects_configs_without_closed_form():
     for overrides in (
         {"initial_law": {"point_b": 1.0}},
-        {"initial_law": {"kind": "gaussian", "sigma": 1.0}},
+        {"initial_law": {"kind": "gaussian", "sigma": 1.0, "point_a": None, "point_b": None}},
         {"potential_W": {"kind": "quadratic", "kappa": 1.0}},
         {"potential_V": {"kind": "power_law", "p": 4.0, "kappa": None,
                          "lambda": None}},
