@@ -72,8 +72,6 @@ class SimConfig:
 
 def _parse_scalar(raw: str):
     s = raw.strip()
-    if s.lower() in ("true", "false"):
-        return s.lower() == "true"
     try:
         return int(s)
     except ValueError:
@@ -132,7 +130,7 @@ def _did_you_mean(word: str, valid, form: str = "{!r}") -> str:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, (int, float))
 
 
 def _number(sec: dict, key: str, default, errors: list, where: str, cast=float):
@@ -167,9 +165,12 @@ def _numbers(sec: dict, key: str, default, errors: list, where: str):
 
 def _build_kinded(cls, sec: dict, errors: list, where: str, dim: int = 1):
     """The cls (a key of _KINDED) of sec, from its kind's row of the table
-    and the declared constants, checked by cls; cls() after any error.  A
+    and the declared constants, checked by cls; cls() when that fails.  A
     list parameter must have 1 or dim entries (no potential kind reads a
-    list, so potentials leave dim out)."""
+    list, so potentials leave dim out).  cls checks the kind first, so an
+    unknown kind is always reported; a known kind is checked whenever every
+    value parsed and no parameter is missing, whatever unread keys or list
+    lengths the section has."""
     table, declared_keys = _KINDED[cls]
     kind = str(sec.get("kind", cls.kind))
     reads = table.get(kind, {})
@@ -179,15 +180,16 @@ def _build_kinded(cls, sec: dict, errors: list, where: str, dim: int = 1):
     params = {key: (_numbers if isinstance(default, tuple) else _number)(
                   sec, key, default, errors, where)
               for key, default in reads.items() if key in sec or default is not None}
-    errors += [f"[{where}] kind {kind!r} missing parameter {key!r}"
-               for key in reads if key not in params]
+    missing = [key for key in reads if key not in params]
+    checkable = kind not in table or (not missing and len(errors) == reported)
+    errors += [f"[{where}] kind {kind!r} missing parameter {key!r}" for key in missing]
     if kind in table:
         errors += [f"[{where}] kind {kind!r} does not read {key!r}"
                    for key in sec if key not in reads and key != "kind" and key not in declared_keys]
     errors += [f"[{where}] {key} must have 1 or dim = {dim} entries, got {len(value)}"
                for key, value in params.items()
                if isinstance(value, tuple) and len(value) not in (1, dim)]
-    if len(errors) == reported:
+    if checkable:
         try:
             return cls(kind, params, **declared)
         except ValueError as exc:
@@ -323,8 +325,6 @@ def parse_config(text: str) -> SimConfig:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, tuple):

@@ -2,20 +2,22 @@
 drift taming, the zero-mean projected system, and the synchronous coupling.
 
 Positions always carry a leading run axis, (runs, N, d); a single run is a
-batch of one.  Independent Monte Carlo runs advance in lockstep.  A chunk
-of runs draws its noise a window of consecutive steps at a time
-(noise_window), with one batch_noise call per window giving a
-(steps, runs, N, d) block in which run r reads its own counter-based
-stream; each step then makes one update with apply_scheme, which projects
-the noise and recentres the ensemble in projected mode and rejects
-non-finite states.  Every block is a pure function of (seed, stream,
+batch of one.  Independent Monte Carlo runs advance in lockstep, step 0,
+1, 2, ... in order.  A chunk of runs takes its noise from a generator
+(noise_window) that yields each step's increments in turn and draws them a
+window of consecutive steps at a time, with one batch_noise call per window
+giving a (steps, runs, N, d) block in which run r reads its own
+counter-based stream; each step then makes one update with apply_scheme,
+keyed by the StepPolicy, which projects the noise and recentres the
+ensemble in projected mode and rejects non-finite states.
+observation_schedule walks the steps and yields the state once per
+observation.  Every block is a pure function of (seed, stream,
 step), so results are bit-identical whatever the windows, the batching or
 the thread count.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,22 +123,21 @@ def project(x: np.ndarray) -> np.ndarray:
 
 
 def apply_scheme(
-    x: np.ndarray, b: np.ndarray, xi: np.ndarray, dt: float, scheme: str,
-    projected: bool = False,
+    x: np.ndarray, b: np.ndarray, xi: np.ndarray, policy: StepPolicy, projected: bool = False,
 ) -> np.ndarray:
     """One update of positions x (..., N, d) under drift b, driven by the
-    standard normal increments xi.  In projected mode the increments lose
-    their ensemble mean and the result is recentred on the zero-mean
-    hyperplane; a non-finite result raises IntegrationError."""
+    standard normal increments xi, with policy's scheme and dt.  In
+    projected mode the increments lose their ensemble mean and the result is
+    recentred on the zero-mean hyperplane; a non-finite result raises
+    IntegrationError."""
     if projected:
         xi = project(xi)
-    if scheme == EULER:
+    dt = policy.dt
+    if policy.scheme == EULER:
         x_new = x + b * dt + np.sqrt(2.0 * dt) * xi
-    elif scheme == TAMED:
+    else:  # TAMED
         bnorm = np.linalg.norm(b, axis=-1, keepdims=True)
         x_new = x + b * dt / (1.0 + dt * bnorm) + np.sqrt(2.0 * dt) * xi
-    else:
-        raise ValueError(f"apply_scheme does not handle {scheme!r}")
     if not np.all(np.isfinite(x_new)):
         bad = np.argwhere(~np.isfinite(x_new))
         raise IntegrationError(f"non-finite position at entry {bad[0].tolist()}")
@@ -149,18 +150,16 @@ def observation_steps(obs_times, dt: float) -> list[int]:
 
 
 def observation_schedule(obs_steps, state, advance):
-    """Walk the step grid from step 0 to the last observed step, yielding
-    (slots, state) at every step that some observation snaps to; slots
-    lists those observations' indices, several when times share a step.
-    advance(state, k) takes the state after k steps to the one after k+1."""
-    slots = defaultdict(list)
-    for i, k in enumerate(obs_steps):
-        slots[k].append(i)
-    for k in range(max(slots, default=0) + 1):
-        if k:
-            state = advance(state, k - 1)
-        if k in slots:
-            yield slots[k], state
+    """Walk the step grid from step 0, yielding (i, state) once per
+    observation i in order, state being the one after obs_steps[i] steps;
+    observations that share a step get the same state.  obs_steps must not
+    decrease, and advance(state) takes one step."""
+    k = 0
+    for i, step in enumerate(obs_steps):
+        while k < step:
+            state = advance(state)
+            k += 1
+        yield i, state
 
 
 # Most increments one noise window holds: a chunk of runs draws the noise
@@ -181,22 +180,13 @@ def batch_noise(source: BrownianSource, streams, steps, n: int, dim: int) -> np.
 
 
 def noise_window(source: BrownianSource, streams, n: int, dim: int, end: int):
-    """noise(k), the (runs, n, dim) increments of step k < end.  A step
-    outside the window held draws a new one with one batch_noise call: step
-    k and the steps after it, NOISE_WINDOW_VALUES // (runs n dim) of them
-    (at least one) but none at or past end, so a walk over steps 0, 1, ...,
-    end - 1 draws each step once."""
+    """Yield the (runs, n, dim) increments of steps 0, 1, ..., end - 1 in
+    turn.  They are drawn with one batch_noise call per window of
+    NOISE_WINDOW_VALUES // (runs n dim) steps (at least one), none at or
+    past end, and one window is held at a time."""
     width = max(1, NOISE_WINDOW_VALUES // (len(streams) * n * dim))
-    start, xi = 0, ()
-
-    def noise(k):
-        nonlocal start, xi
-        if not 0 <= k - start < len(xi):
-            start, xi = k, ()  # free the spent window first: one held at a time
-            xi = batch_noise(source, streams, range(k, min(k + width, end)), n, dim)
-        return xi[k - start]
-
-    return noise
+    for start in range(0, end, width):
+        yield from batch_noise(source, streams, range(start, min(start + width, end)), n, dim)
 
 
 def step_batch(
@@ -213,7 +203,7 @@ def step_batch(
     Leading axes share each run's increments: a coupled pair (2, runs, N, d)
     advances on identical Brownian increments, so its difference process
     sees no noise."""
-    return apply_scheme(x, drift(x, V, W), xi, policy.dt, policy.scheme, projected)
+    return apply_scheme(x, drift(x, V, W), xi, policy, projected)
 
 
 # The synchronous coupling is step_batch on a stacked pair; the name stays

@@ -102,14 +102,15 @@ def _over_runs(config: SimConfig, runs: int, threads: int, sizes, run_chunk):
 
 def _walk(config: SimConfig, source, chunk, obs, x):
     """observation_schedule over the chunk's positions x (..., runs, N, d),
-    recentred in projected mode, each step a step_batch on the increments of
-    the chunk's runs; leading axes share them."""
+    recentred in projected mode, yielding (i, positions) once per
+    observation; each step is a step_batch on the next increments of the
+    chunk's runs from noise_window, and leading axes share them."""
     projected = config.mode == "projected"
     noise = noise_window(source, run_streams(chunk), config.n, config.dim, max(obs))
 
-    def advance(x, k):
+    def advance(x):
         return step_batch(x, config.potential_V, config.potential_W, config.step_policy,
-                          noise(k), projected)
+                          next(noise), projected)
 
     return observation_schedule(obs, project(x) if projected else x, advance)
 
@@ -188,8 +189,8 @@ def simulate_batch(config: SimConfig, threads: int = 1):
         # chunks are consecutive runs, so each writes its own basic slice
         part = out[:, chunk[0]:chunk[-1] + 1]
         x = config.initial_law.sample(source, run_streams(chunk), n, dim)
-        for slots, x in _walk(config, source, chunk, obs, x):
-            part[slots] = x
+        for i, x in _walk(config, source, chunk, obs, x):
+            part[i] = x
 
     _over_runs(config, config.runs, threads, [n], run_chunk)
     return np.asarray(config.observation_times), out
@@ -207,8 +208,8 @@ def coupled_batch(config: SimConfig, threads: int = 1):
         xb = config.initial_law_b.sample(source, run_streams(chunk, PARTNER_STREAM), n, dim)
         # the pair axis leads: (2, runs, N, d)
         pair = np.stack([couple_initial(a, b) for a, b in zip(xa, xb)], axis=1)
-        for slots, (xa, xb) in _walk(config, source, chunk, obs, pair):
-            xi[slots, chunk[0]:chunk[-1] + 1] = np.mean(np.sum((xa - xb) ** 2, axis=-1), axis=-1)
+        for i, (xa, xb) in _walk(config, source, chunk, obs, pair):
+            xi[i, chunk[0]:chunk[-1] + 1] = np.mean(np.sum((xa - xb) ** 2, axis=-1), axis=-1)
 
     _over_runs(config, config.runs, threads, [n, n], run_chunk)
     return np.asarray(config.observation_times), xi
@@ -329,12 +330,14 @@ def _chaos_walk(config, source, chunk, N_values, M_reference, obs):
     advances them all, so memory does not grow with the horizon.  Draws are
     prefix-stable, so the walk draws the initial state and each step's
     increments once, for the largest N, and the n-system takes their first
-    n rows.  Each ensemble draws its increments a window of steps at a
-    time (noise_window), none past the last observed step.  A proxy starts
-    at row 0 of the unprojected initial draw and steps on row 0 of the
-    unprojected increments, so one proxy per ensemble serves every N; its
-    drift, the convolution of grad W with u_t, reads its ensemble at the
-    start of the step."""
+    n rows.  Each ensemble takes its increments from its own noise_window
+    generator, which draws them a window of steps at a time, none past the
+    last observed step; observation_schedule yields the state once per
+    observation, and every update is apply_scheme under the config's step
+    policy.  A proxy starts at row 0 of the unprojected initial draw and
+    steps on row 0 of the unprojected increments, so one proxy per ensemble
+    serves every N; its drift, the convolution of grad W with u_t, reads its
+    ensemble at the start of the step."""
     V, W, policy, dim = config.potential_V, config.potential_W, config.step_policy, config.dim
     streams = run_streams(chunk)
     aux_streams = [run_streams(chunk, role) for role in (AUX_STREAM, HALF_AUX_STREAM)]
@@ -342,17 +345,15 @@ def _chaos_walk(config, source, chunk, N_values, M_reference, obs):
     aux_noise = [noise_window(source, ss, m, dim, end) for m, ss in zip(sizes, aux_streams)]
     system_noise = noise_window(source, streams, N_values[-1], dim, end)
 
-    def advance(state, k):
+    def advance(state):
         ensembles, systems, proxies = state
         bx = [-W.mean_grad(xbar, aux) for xbar, aux in zip(proxies, ensembles)]
-        ensembles = [step_batch(aux, V, W, policy, noise(k), projected=True)
+        ensembles = [step_batch(aux, V, W, policy, next(noise), projected=True)
                      for aux, noise in zip(ensembles, aux_noise)]
-        xi = system_noise(k)
-        systems = [apply_scheme(y, drift(y, V, W), xi[:, :n], policy.dt, policy.scheme,
-                                projected=True)
+        xi = next(system_noise)
+        systems = [apply_scheme(y, drift(y, V, W), xi[:, :n], policy, projected=True)
                    for y, n in zip(systems, N_values)]
-        proxies = [apply_scheme(xbar, b, xi[:, :1], policy.dt, policy.scheme)
-                   for xbar, b in zip(proxies, bx)]
+        proxies = [apply_scheme(xbar, b, xi[:, :1], policy) for xbar, b in zip(proxies, bx)]
         return ensembles, systems, proxies
 
     ensembles = [project(config.initial_law.sample(source, ss, m, dim))
@@ -360,10 +361,10 @@ def _chaos_walk(config, source, chunk, N_values, M_reference, obs):
     x0 = config.initial_law.sample(source, streams, N_values[-1], dim)
     state = (ensembles, [project(x0[:, :n]) for n in N_values], [x0[:, :1]] * 2)
     err = np.empty((len(N_values) + 1, len(obs), len(chunk)))
-    for slots, (_, systems, (xbar, xbar_half)) in observation_schedule(obs, state, advance):
+    for i, (_, systems, (xbar, xbar_half)) in observation_schedule(obs, state, advance):
         pairs = [(y, xbar) for y in systems] + [(systems[-1], xbar_half)]
-        for i, (y, x) in enumerate(pairs):
-            err[i, slots] = np.sum((y[:, 0, :] - x[:, 0, :]) ** 2, axis=-1)
+        for j, (y, x) in enumerate(pairs):
+            err[j, i] = np.sum((y[:, 0, :] - x[:, 0, :]) ** 2, axis=-1)
     return err
 
 

@@ -11,7 +11,7 @@ are labeled as such.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 
 import numpy as np
@@ -207,27 +207,18 @@ class ConditionReport:
 
     condition_name: str
     declared_constants: dict
+    fitted_constants: dict
     worst_violation: float
     probe_count: int
     probe_extent: float
     tolerance: float
-    fitted_constants: dict = field(default_factory=dict)
 
     @property
     def satisfied(self) -> bool:
         return self.worst_violation <= self.tolerance
 
     def to_json(self) -> dict:
-        return {
-            "condition_name": self.condition_name,
-            "declared_constants": dict(self.declared_constants),
-            "fitted_constants": dict(self.fitted_constants),
-            "worst_violation": self.worst_violation,
-            "probe_count": self.probe_count,
-            "probe_extent": self.probe_extent,
-            "tolerance": self.tolerance,
-            "satisfied": self.satisfied,
-        }
+        return {**asdict(self), "satisfied": self.satisfied}
 
 
 def default_tolerance(bound_scale: float = 0.0) -> float:
@@ -317,6 +308,7 @@ def _check_monotonicity(
     return ConditionReport(
         condition_name=name,
         declared_constants=constants,
+        fitted_constants={},
         worst_violation=float(np.max(bound - dot)),
         probe_count=x.shape[0],
         probe_extent=EXTENT,

@@ -353,6 +353,33 @@ def test_a_parameter_the_kind_does_not_read_is_refused():
     assert cfg.potential_W.declared_C == 0.5
 
 
+def test_a_sections_kind_check_joins_its_other_errors():
+    # an unknown kind, or a range the kind refuses, is reported beside the
+    # section's other errors instead of surfacing on the next load
+    with pytest.raises(ConfigError) as exc:
+        make_config(potential_W={"kind": "power_lw", "A": "inf"})
+    assert exc.value.errors == [
+        "[potential_W] A must be finite, got 'inf'",
+        "[potential_W] unknown potential kind 'power_lw' (did you mean 'power_law'?)",
+    ]
+    with pytest.raises(ConfigError) as exc:
+        make_config(initial_law={"kind": "uniform", "half_width": -1.0, "sigma": 2.0})
+    assert exc.value.errors == [
+        "[initial_law] kind 'uniform' does not read 'sigma'",
+        "[initial_law] half_width must be >= 0, got -1.0",
+    ]
+
+
+def test_no_value_is_read_as_a_boolean():
+    assert make_config(output={"dir": "TRUE"}).output_dir == "TRUE"
+    with pytest.raises(ConfigError) as exc:
+        make_config(dynamics={"mode": "true"})
+    assert exc.value.errors == ["[dynamics] mode must be raw or projected, got 'true'"]
+    with pytest.raises(ConfigError) as exc:
+        make_config(dynamics={"n": "true"})
+    assert exc.value.errors == ["[dynamics] n must be a number, got 'true'"]
+
+
 def test_the_zero_potential_declares_no_constant():
     # no checker probes a zero potential, so a constant it declared would
     # reach a verdict unchecked

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmsim import dynamics
 from gmsim.dynamics import (
     LAW_PARAMS,
     InitialLaw,
@@ -17,6 +18,7 @@ from gmsim.dynamics import (
     couple_initial,
     drift,
     noise_block,
+    noise_window,
     observation_schedule,
     observation_steps,
     project,
@@ -260,8 +262,8 @@ def test_tamed_close_to_euler_for_small_drift(rng):
     b = drift(x, zero(), quadratic(1.0))
     xi = np.zeros_like(x)
     dt = 1e-3
-    eu = apply_scheme(x, b, xi, dt, "euler")
-    ta = apply_scheme(x, b, xi, dt, "tamed")
+    eu = apply_scheme(x, b, xi, StepPolicy("euler", dt))
+    ta = apply_scheme(x, b, xi, StepPolicy("tamed", dt))
     assert np.max(np.abs(eu - ta)) <= np.max(dt * np.abs(b)) * np.max(dt * np.abs(b))
 
 
@@ -295,7 +297,7 @@ def test_step_policy_validation():
 def recentre(x):
     # a projected update without drift or noise only recentres
     still = np.zeros_like(x)
-    return apply_scheme(x, still, still, 0.01, "euler", projected=True)
+    return apply_scheme(x, still, still, StepPolicy("euler", 0.01), projected=True)
 
 
 def test_project_subtracts_mean():
@@ -462,9 +464,29 @@ def test_observation_snapping():
 
 
 def test_observation_schedule_fills_every_slot_of_a_shared_step():
-    # the state counts the steps taken; slots 1 and 2 share step 2
-    seen = list(observation_schedule([0, 2, 2, 5], 0, lambda state, k: state + 1))
-    assert seen == [([0], 0), ([1, 2], 2), ([3], 5)]
+    # the state counts the steps taken; observations 1 and 2 share step 2
+    calls = []
+
+    def advance(state):
+        calls.append(state)
+        return state + 1
+
+    seen = list(observation_schedule([0, 2, 2, 5], 0, advance))
+    assert seen == [(0, 0), (1, 2), (2, 2), (3, 5)]
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("width,end", [(1, 5), (3, 7), (8, 7), (3, 0)],
+                         ids=["one_step", "three_steps", "one_window", "no_steps"])
+def test_noise_window_yields_each_step_in_turn(monkeypatch, width, end):
+    # a window of `width` steps of 2 runs x 3 particles x 2 coordinates
+    monkeypatch.setattr(dynamics, "NOISE_WINDOW_VALUES", width * 2 * 3 * 2)
+    src, streams = BrownianSource(5), [0, 8]
+    got = list(noise_window(src, streams, 3, 2, end))
+    want = batch_noise(src, streams, range(end), 3, 2)
+    assert len(got) == end
+    for k, xi in enumerate(got):
+        np.testing.assert_array_equal(xi, want[k])
 
 
 def test_simulate_horizon_zero_emits_initial_only():

@@ -248,10 +248,10 @@ def test_report_json_fields():
 
 
 def test_satisfied_is_tolerance_comparison():
-    rep = ConditionReport("A3", {}, worst_violation=0.5, probe_count=1,
+    rep = ConditionReport("A3", {}, fitted_constants={}, worst_violation=0.5, probe_count=1,
                           probe_extent=1.0, tolerance=1.0)
     assert rep.satisfied
-    rep2 = ConditionReport("A3", {}, worst_violation=2.0, probe_count=1,
+    rep2 = ConditionReport("A3", {}, fitted_constants={}, worst_violation=2.0, probe_count=1,
                            probe_extent=1.0, tolerance=1.0)
     assert not rep2.satisfied
 
