@@ -43,3 +43,22 @@ def test_digest_does_not_depend_on_the_output_directory():
     code, lines = first
     assert code == 0 and lines[0] == " ".join(argv) + ": exit 0"
     assert any(line.startswith("  simulate-") for line in lines[3:])
+
+
+def test_with_all_formats_sets_only_the_output_formats():
+    text = "[dynamics]\nformats = kept\n\n[output]\ndir = out\nformats = csv\n"
+    assert output_digests.with_all_formats(text) == (
+        "[dynamics]\nformats = kept\n\n[output]\nformats = csv,jsonl,bin\ndir = out\n")
+    assert output_digests.with_all_formats("[dynamics]\nn = 4\n") == (
+        "[dynamics]\nn = 4\n[output]\nformats = csv,jsonl,bin\n")
+
+
+def test_simulate_digests_jsonl_and_bin_of_a_config_that_writes_only_csv():
+    cfg = "configs/bump3d_decay.cfg"
+    assert "formats" not in (ROOT / cfg).read_text()
+    argv = ["simulate", "--config", cfg, "--seed", "3", "--positions"]
+    code, lines = output_digests.digest(ROOT, argv)
+    assert code == 0 and lines[0] == " ".join(argv) + ": exit 0"
+    files = [line.split()[0] for line in lines[3:]]
+    assert {f.rsplit(".", 1)[1] for f in files} == {"csv", "jsonl", "bin"}
+    assert sum(f.endswith(".bin") for f in files) == 8  # one per run

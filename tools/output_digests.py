@@ -3,9 +3,11 @@ two source trees.
 
 For every `configs/*.cfg` of a tree it runs check-potential once, and
 simulate (with and without --positions) and the five experiments at each
-given seed and thread count.  Each invocation writes into a fresh
---out directory, and prints one block: the command line, the exit code and
-the sha256 of stdout, of stderr and of every file written.  The output
+given seed and thread count.  simulate runs on a copy of the config whose
+`[output] formats` is every format, so that each config's JSONL and `.bin`
+files are digested too.  Each invocation writes into a fresh --out
+directory, and prints one block: the command line, the exit code and the
+sha256 of stdout, of stderr and of every file written.  The output
 directory's path is replaced by `OUT` in the streams and files before they
 are hashed, since summaries echo it.  Two trees behave the same exactly
 when their digests do:
@@ -30,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 EXPERIMENTS = ("decay", "chaos-scan", "uniform-moments", "exp-square-moment", "concentration")
+ALL_FORMATS = "csv,jsonl,bin"
 
 
 def invocations(configs, seeds, threads):
@@ -45,13 +48,36 @@ def invocations(configs, seeds, threads):
                     yield [experiment, *common]
 
 
+def with_all_formats(text: str) -> str:
+    """Config text with `[output] formats` set to every format."""
+    lines, section = [], None
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped.startswith("["):
+            section = stripped
+        elif section == "[output]" and stripped.partition("=")[0].strip() == "formats":
+            continue
+        lines.append(line)
+        if stripped == "[output]":
+            lines.append(f"formats = {ALL_FORMATS}")
+    if "[output]" not in (line.strip() for line in lines):
+        lines += ["[output]", f"formats = {ALL_FORMATS}"]
+    return "\n".join(lines) + "\n"
+
+
 def digest(tree: Path, argv) -> tuple[int, list]:
-    """Run gmsim argv in tree; returns its exit code and its digest lines."""
+    """Run gmsim argv in tree; returns its exit code and its digest lines.
+    simulate reads its config with every output format."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
+        run = list(argv)
+        if argv[0] == "simulate":
+            i = argv.index("--config") + 1
+            run[i] = os.path.join(tmp, "simulate.cfg")
+            Path(run[i]).write_text(with_all_formats((tree / argv[i]).read_text()))
         extra = [] if argv[0] == "check-potential" else ["--out", out]
-        proc = subprocess.run([sys.executable, "-m", "gmsim.cli", *argv, *extra], cwd=tree,
+        proc = subprocess.run([sys.executable, "-m", "gmsim.cli", *run, *extra], cwd=tree,
                               env=env, capture_output=True)
 
         def sha(data: bytes) -> str:
