@@ -90,6 +90,9 @@ def _cmd_check_potential(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    if args.positions and "jsonl" not in cfg.output_formats:
+        raise ValueError("--positions writes positions into the JSONL snapshots, "
+                         "but [output] formats has no jsonl")
     times, pos = experiments.simulate_batch(cfg, threads=args.threads)
     h = config_hash(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -97,10 +100,11 @@ def _cmd_simulate(args) -> int:
     if "jsonl" in cfg.output_formats:
         gio.write_snapshot_jsonl(base + ".jsonl", times, pos, args.positions)
     if "csv" in cfg.output_formats:
-        rows = [
-            (float(t), float(np.mean(np.sum(pos[ti] ** 2, axis=-1))), "", "simulate", "")
-            for ti, t in enumerate(times)
-        ]
+        with np.errstate(over="ignore"):  # an overflowing square is written as inf
+            rows = [
+                (float(t), float(np.mean(np.sum(pos[ti] ** 2, axis=-1))), "", "simulate", "")
+                for ti, t in enumerate(times)
+            ]
         gio.write_series_csv(base + ".csv", ("time", "value", "stderr", "method", "p"), rows)
     if "bin" in cfg.output_formats:
         for r in range(pos.shape[1]):

@@ -89,14 +89,20 @@ class InitialLaw:
         return np.broadcast_to(x, shape).astype(float)
 
 
-def drift(positions: np.ndarray, V: Potential, W: Potential) -> np.ndarray:
-    """Mean-field drift rows -grad V(x_i) - (1/N) sum_j grad W(x_i - x_j).
+def drift(
+    positions: np.ndarray, V: Potential, W: Potential, law: np.ndarray | None = None,
+) -> np.ndarray:
+    """Mean-field drift b(x, mu) = -grad V(x) - (grad W * mu)(x) at each row
+    x_i of positions (..., N, d): -grad V(x_i) - (1/M) sum_j grad W(x_i - y_j)
+    over the sample y (..., M, d) of mu that law holds.
 
-    positions may carry leading batch axes: (..., N, d).  The j = i term
-    contributes grad W(0) = 0 for every built-in kind.
+    law defaults to the positions themselves, the particle system's own
+    empirical measure, where the j = i term contributes grad W(0) = 0 for
+    every built-in kind.  A proxy of the nonlinear flow passes an ensemble
+    that stands for u_t.
     """
     x = np.asarray(positions, dtype=float)
-    b = -W.mean_grad(x, x)
+    b = -W.mean_grad(x, x if law is None else law)
     if not V.is_zero:
         b = b - V.grad(x)
     if not np.all(np.isfinite(b)):

@@ -333,11 +333,13 @@ def _chaos_walk(config, source, chunk, N_values, M_reference, obs):
     n rows.  Each ensemble takes its increments from its own noise_window
     generator, which draws them a window of steps at a time, none past the
     last observed step; observation_schedule yields the state once per
-    observation, and every update is apply_scheme under the config's step
-    policy.  A proxy starts at row 0 of the unprojected initial draw and
-    steps on row 0 of the unprojected increments, so one proxy per ensemble
-    serves every N; its drift, the convolution of grad W with u_t, reads its
-    ensemble at the start of the step."""
+    observation.  Every particle moves under the one mean-field drift: the
+    auxiliary ensembles and the N-systems step on their own empirical
+    measures with step_batch in projected mode, and a proxy steps with
+    apply_scheme on drift against its ensemble, which stands for u_t and is
+    read at the start of the step.  A proxy starts at row 0 of the
+    unprojected initial draw and steps on row 0 of the unprojected
+    increments, so one proxy per ensemble serves every N."""
     V, W, policy, dim = config.potential_V, config.potential_W, config.step_policy, config.dim
     streams = run_streams(chunk)
     aux_streams = [run_streams(chunk, role) for role in (AUX_STREAM, HALF_AUX_STREAM)]
@@ -347,13 +349,13 @@ def _chaos_walk(config, source, chunk, N_values, M_reference, obs):
 
     def advance(state):
         ensembles, systems, proxies = state
-        bx = [-W.mean_grad(xbar, aux) for xbar, aux in zip(proxies, ensembles)]
+        xi = next(system_noise)
+        proxies = [apply_scheme(xbar, drift(xbar, V, W, aux), xi[:, :1], policy)
+                   for xbar, aux in zip(proxies, ensembles)]
         ensembles = [step_batch(aux, V, W, policy, next(noise), projected=True)
                      for aux, noise in zip(ensembles, aux_noise)]
-        xi = next(system_noise)
-        systems = [apply_scheme(y, drift(y, V, W), xi[:, :n], policy, projected=True)
+        systems = [step_batch(y, V, W, policy, xi[:, :n], projected=True)
                    for y, n in zip(systems, N_values)]
-        proxies = [apply_scheme(xbar, b, xi[:, :1], policy) for xbar, b in zip(proxies, bx)]
         return ensembles, systems, proxies
 
     ensembles = [project(config.initial_law.sample(source, ss, m, dim))

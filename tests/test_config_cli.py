@@ -594,6 +594,38 @@ def test_cli_simulate_thread_count_invariance(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_cli_simulate_csv_value_is_inf_without_a_warning_when_squares_overflow(tmp_path,
+                                                                                capsys):
+    # Raw Euler on V = 300 |x|^2 with dt 0.01 diverges; at t = 3 the
+    # positions are near 1e210, so their squares overflow.
+    out = tmp_path / "out"
+    path = write_cfg(
+        tmp_path,
+        potential_V={"kind": "quadratic", "kappa": 300.0},
+        potential_W={"kind": "zero", "p": None, "m": None, "A": None, "alpha": None},
+        dynamics={"n": 4, "mode": "raw", "scheme": "euler", "dt": 0.01},
+        experiment={"horizon": 3.0, "obs_times": "0.0,3.0", "runs": 2},
+        output={"dir": str(out), "formats": "csv"},
+    )
+    assert run_cli(["simulate", "--config", path, "--seed", "1"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = Path(captured.out.strip() + ".csv").read_text().splitlines()
+    assert rows[-1] == "3.0,inf,,simulate,"
+
+
+def test_cli_simulate_positions_without_jsonl_is_refused(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, output={"dir": str(out), "formats": "csv,bin"})
+    code = run_cli(["simulate", "--config", path, "--seed", "1", "--positions"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: --positions ") and "jsonl" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_decay_quadratic(tmp_path, capsys):
     out = tmp_path / "out"
     path = write_cfg(
@@ -900,7 +932,8 @@ def test_cli_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_cli_chaos_scan_rejects_raw_mode(tmp_path, capsys):
-    # The scan's N-systems are projected and its proxy ignores potential_V.
+    # The scan runs projected N-systems, and its proxies' drift includes
+    # -grad potential_V, which projected mode keeps zero.
     out = tmp_path / "out"
     path = write_cfg(
         tmp_path,

@@ -153,6 +153,16 @@ def test_mean_grad_quartic_against_two_points_closed_form():
     np.testing.assert_allclose(
         W.mean_grad(np.full((1, 1, 1), b), aux), [[[4.0 * (b**3 + 3.0 * a * a * b)]]], rtol=1e-14
     )
+    # The proxy steps on drift against its ensemble, confinement included;
+    # without a law, drift reads the positions themselves, to the bit.
+    kappa = 0.35
+    V = quadratic(kappa)
+    np.testing.assert_allclose(
+        drift(np.full((1, 1, 1), b), V, W, aux),
+        [[[-2.0 * kappa * b - 4.0 * (b**3 + 3.0 * a * a * b)]]], rtol=1e-14,
+    )
+    x = np.array([[[-a], [a], [b]]])
+    np.testing.assert_array_equal(drift(x, V, W), drift(x, V, W, x))
 
 
 PAIR_KINDS = (uniform_plus_bump(0.5, 2.0, 1.5), power_law(3.0), power_law(6.0))
