@@ -23,6 +23,7 @@ from .config import (
     ConfigError, SimConfig, config_hash, declared_reports, parse_config, validate_potentials,
 )
 from .dynamics import IntegrationError
+from .rng import SEED_LIMIT
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,6 +75,8 @@ def _load_config(args) -> SimConfig:
     conditions checked."""
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise ValueError(f"--seed must be in [0, 2**128), got {args.seed}")
     cfg = replace(_read_config(args.config), seed=int(args.seed))
     if args.out:
         cfg = replace(cfg, output_dir=args.out)

@@ -16,6 +16,7 @@ import numpy as np
 from . import potentials
 from .dynamics import LAW_PARAMS, InitialLaw, StepPolicy
 from .potentials import Potential
+from .rng import SEED_LIMIT
 
 # Each kinded model: the table of the parameters its kinds read, and the
 # constants it declares besides, config key -> field, whose default is the
@@ -286,6 +287,8 @@ def parse_config(text: str) -> SimConfig:
     if "seed" not in exp:
         errors.append("[experiment] seed is required (no wall-clock default)")
     seed = _number(exp, "seed", 0, errors, "experiment", int)
+    if not 0 <= seed < SEED_LIMIT:
+        errors.append(f"[experiment] seed must be in [0, 2**128), got {seed}")
     runs = _number(exp, "runs", 1, errors, "experiment", int)
     if runs < 1:
         errors.append("[experiment] runs must be >= 1")

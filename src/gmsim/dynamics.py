@@ -105,7 +105,7 @@ def drift(
     b = -W.mean_grad(x, x if law is None else law)
     if not V.is_zero:
         b = b - V.grad(x)
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         bad = np.argwhere(~np.isfinite(b))
         raise IntegrationError(f"non-finite drift at entry {bad[0].tolist()}")
     return b
@@ -125,7 +125,7 @@ def project(x: np.ndarray) -> np.ndarray:
     """Remove the ensemble mean over the particle axis: the projection onto
     the zero-mean hyperplane, of positions or of the increments, where it
     realizes the projected system's driving noise sqrt(2)(dB^i - mean_j dB^j)."""
-    return x - x.mean(axis=-2, keepdims=True)
+    return x - x.sum(axis=-2, keepdims=True) / x.shape[-2]
 
 
 def apply_scheme(
@@ -142,9 +142,9 @@ def apply_scheme(
     if policy.scheme == EULER:
         x_new = x + b * dt + np.sqrt(2.0 * dt) * xi
     else:  # TAMED
-        bnorm = np.linalg.norm(b, axis=-1, keepdims=True)
+        bnorm = np.sqrt(np.add.reduce(b * b, axis=-1, keepdims=True))
         x_new = x + b * dt / (1.0 + dt * bnorm) + np.sqrt(2.0 * dt) * xi
-    if not np.all(np.isfinite(x_new)):
+    if not np.isfinite(x_new).all():
         bad = np.argwhere(~np.isfinite(x_new))
         raise IntegrationError(f"non-finite position at entry {bad[0].tolist()}")
     return project(x_new) if projected else x_new

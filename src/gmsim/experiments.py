@@ -31,7 +31,7 @@ from .dynamics import (
 )
 from .metrics import _mc_mean, exp_square_moment, exp_square_moment_bound, moment
 from .potentials import QUADRATIC
-from .rng import BrownianSource
+from .rng import SEED_LIMIT, BrownianSource
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +393,8 @@ def chaos_scan(
     if config.potential_W.declared_alpha <= 0.0:
         raise ValueError("chaos_scan needs declared alpha > 0 on potential_W")
     if config.mode != "projected":
-        raise ValueError("chaos_scan needs mode = projected: it runs projected N-systems "
-                         "and a proxy without potential_V")
+        raise ValueError("chaos_scan needs mode = projected: its N-systems and auxiliary "
+                         "ensembles run on the zero-mean hyperplane")
     alpha = config.potential_W.declared_alpha
     err = np.concatenate(_over_runs(
         config, runs_per_N, threads, [M_reference, M_reference // 2, *N_values],
@@ -473,8 +473,9 @@ DIFFUSION_BOUND_A = 2.0
 
 def exp_square_moment_experiment(config: SimConfig, delta: float = 0.1, threads: int = 1):
     """E exp(delta |X_t - Y_t|^2) for two independent copies, the second at
-    seed + 1; returns the estimated series and its closed form and the
-    a-priori bound from the declared (lambda, C) of potential_V.
+    seed + 1 (mod 2^128, so it stays a Philox key); returns the estimated
+    series and its closed form and the a-priori bound from the declared
+    (lambda, C) of potential_V.
 
     The closed form needs independent linear-drift particles from a point
     mass: V = kappa |x|^2, no interaction, raw mode.  Then X_t - Y_t is
@@ -491,7 +492,8 @@ def exp_square_moment_experiment(config: SimConfig, delta: float = 0.1, threads:
     lam = V.declared_lambda
     bound = exp_square_moment_bound(delta, lam, V.declared_C, DIFFUSION_BOUND_A, config.dim)
     times, pos_x = simulate_batch(config, threads=threads)
-    _, pos_y = simulate_batch(replace(config, seed=config.seed + 1), threads=threads)
+    _, pos_y = simulate_batch(replace(config, seed=(config.seed + 1) % SEED_LIMIT),
+                              threads=threads)
     sq = np.sum((pos_x - pos_y) ** 2, axis=-1).reshape(len(times), -1)
     series = exp_square_moment(sq, delta, times=list(times))
     kappa = V.params["kappa"]

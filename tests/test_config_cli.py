@@ -505,6 +505,17 @@ def test_cli_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-5", str(2**128)])
+def test_cli_seed_outside_the_key_range_is_a_usage_error(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, output={"dir": str(out)})
+    assert run_cli(["simulate", "--config", path, "--seed", seed]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --seed must be in [0, 2**128), got {seed}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, error", [
     # dt = inf snapped every time to step 0 and exited 0
     ({"dynamics": {"dt": "inf"}}, "[dynamics] dt must be finite, got 'inf'"),
@@ -522,6 +533,10 @@ def test_cli_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
     ({"potential_W": {"m": 2.7}}, "[potential_W] m must be an integer, got '2.7'"),
     ({"experiment": {"obs_times": None, "obs_stride": 0.5, "obs_count": 2.5}},
      "[experiment] obs_count must be an integer, got '2.5'"),
+    # a seed outside the Philox key range loaded, and failed inside the run
+    ({"experiment": {"seed": -1}}, "[experiment] seed must be in [0, 2**128), got -1"),
+    ({"experiment": {"seed": 2**128}},
+     f"[experiment] seed must be in [0, 2**128), got {2**128}"),
 ])
 def test_cli_non_finite_numbers_are_config_errors(tmp_path, capsys, overrides, error):
     out = tmp_path / "out"

@@ -504,6 +504,13 @@ def test_exp_square_moment_experiment_matches_closed_form_at_kappa_one():
     assert info["bound"] > max(series.values)
 
 
+def test_exp_square_moment_experiment_runs_at_the_largest_seed():
+    # The second copy's seed wraps to 0 rather than leaving the key range.
+    cfg = ou_config(experiment={"runs": 2, "seed": 2**128 - 1})
+    series, _ = exp_square_moment_experiment(cfg)
+    assert np.all(np.isfinite(series.values))
+
+
 def test_exp_square_moment_experiment_rejects_configs_without_closed_form():
     for overrides in (
         {"initial_law": {"point_b": 1.0}},

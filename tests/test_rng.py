@@ -1,13 +1,17 @@
 """Counter-based noise source: purity, prefix stability, distribution."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from gmsim.rng import INIT_STEP, BrownianSource, _to_uniform
+from gmsim.rng import INIT_STEP, MIN_REKEY_WORDS, SEED_LIMIT, BrownianSource, _to_uniform
 
-SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
+SEEDS = st.integers(min_value=0, max_value=SEED_LIMIT - 1)
+# Block lengths on both sides of the switch from the vectorised kernel to
+# the re-keyed compiled generator.
+COUNTS = st.integers(1, 2 * MIN_REKEY_WORDS)
 STREAMS = st.integers(min_value=0, max_value=2**31)
 STEPS = st.integers(min_value=0, max_value=2**40)
 # small stream ids make repeated streams within one call common
@@ -24,7 +28,9 @@ def _oracle_uniforms(seed, stream, step, count):
 
 
 @given(seed=SEEDS, step=st.one_of(STEPS, st.just(INIT_STEP)), streams=STREAM_LISTS,
-       count=st.integers(1, 33))
+       count=COUNTS)
+@example(seed=SEED_LIMIT - 1, step=INIT_STEP, streams=[0, 2**31], count=MIN_REKEY_WORDS - 1)
+@example(seed=2**64, step=0, streams=[1, 1], count=MIN_REKEY_WORDS)
 @settings(max_examples=100, deadline=None)
 def test_batched_rows_match_a_fresh_philox_per_stream(seed, step, streams, count):
     src = BrownianSource(seed)
@@ -38,8 +44,12 @@ def test_batched_rows_match_a_fresh_philox_per_stream(seed, step, streams, count
         np.testing.assert_array_equal(src.normals(stream, step, count), z[r])
 
 
-@given(seed=SEEDS, steps=STEP_LISTS, streams=STREAM_LISTS, count=st.integers(1, 33))
+@given(seed=SEEDS, steps=STEP_LISTS, streams=STREAM_LISTS, count=COUNTS)
 @example(seed=2**63 - 1, steps=[INIT_STEP, 0, 0, 5], streams=[3, 3, 0], count=7)
+@example(seed=2**70 + 12345, steps=[INIT_STEP, 2**40, 1], streams=[3, 0],
+         count=MIN_REKEY_WORDS - 1)
+@example(seed=SEED_LIMIT - 1, steps=[0, 1], streams=[2**31, 0], count=MIN_REKEY_WORDS)
+@example(seed=2**64 - 1, steps=[5, 0], streams=[0, 7], count=MIN_REKEY_WORDS + 2)
 @settings(max_examples=100, deadline=None)
 def test_window_rows_match_a_fresh_philox_per_step_and_stream(seed, steps, streams, count):
     src = BrownianSource(seed)
@@ -54,7 +64,7 @@ def test_window_rows_match_a_fresh_philox_per_step_and_stream(seed, steps, strea
 
 
 @given(seed=SEEDS, step=st.one_of(STEPS, st.just(INIT_STEP)), streams=STREAM_LISTS,
-       count=st.integers(1, 33))
+       count=COUNTS)
 @settings(max_examples=50, deadline=None)
 def test_one_step_is_a_window_of_one(seed, step, streams, count):
     src = BrownianSource(seed)
@@ -82,6 +92,19 @@ def test_frozen_values():
     np.testing.assert_array_equal(src.uniforms([0], INIT_STEP, 5), [[
         0.094719098617633, 0.998651009314488, 0.6027820290041248,
         0.8661326835522727, 0.1359404336153322]])
+    # A seed >= 2^64 puts a nonzero high word in the key.
+    src = BrownianSource(2**70 + 12345)
+    np.testing.assert_array_equal(src.normals(3, 17, 5), [
+        0.6058398970933486, 0.25676846094887196, 1.6680759614394074,
+        -0.5886886429217335, 1.0202918850941858])
+    np.testing.assert_array_equal(src.uniforms(3, 17, 5), [
+        0.7276894632588804, 0.6013212407646849, 0.9523496757774703,
+        0.2780350789264409, 0.846204974605971])
+    np.testing.assert_array_equal(src.normals([0], INIT_STEP, 5), [[
+        2.0405855368173413, -0.5690606497300158, 0.6279004288096143,
+        -0.5195512504004279, 0.8411935910425586]])
+    np.testing.assert_array_equal(BrownianSource(SEED_LIMIT - 1).normals(1, 2, 3), [
+        0.8423538542929779, -0.746679885349223, -0.12411188556574197])
 
 
 def test_source_holds_no_generator():
@@ -89,6 +112,14 @@ def test_source_holds_no_generator():
     src = BrownianSource(5)
     src.normals([0, 1], 3, 8)
     assert vars(src) == {"seed": 5}
+
+
+@pytest.mark.parametrize("seed", [-1, SEED_LIMIT, SEED_LIMIT + 5])
+def test_seed_outside_the_key_range_is_refused(seed):
+    # The kernel would wrap such a seed silently; the compiled generator
+    # refuses it only on the first long draw.
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
+        BrownianSource(seed)
 
 
 def test_block_is_pure_function_of_seed_stream_step():
@@ -99,7 +130,9 @@ def test_block_is_pure_function_of_seed_stream_step():
     assert np.any(a != c)
 
 
-@given(seed=SEEDS, stream=STREAMS, step=STEPS, short=st.integers(1, 32), extra=st.integers(1, 32))
+@given(seed=SEEDS, stream=STREAMS, step=STEPS, short=st.integers(1, MIN_REKEY_WORDS),
+       extra=st.integers(1, MIN_REKEY_WORDS))
+@example(seed=SEED_LIMIT - 1, stream=2, step=INIT_STEP, short=MIN_REKEY_WORDS - 1, extra=1)
 @settings(max_examples=50, deadline=None)
 def test_prefix_stability(seed, stream, step, short, extra):
     src = BrownianSource(seed)

@@ -12,9 +12,12 @@ directory's path is replaced by `OUT` in the streams and files before they
 are hashed, since summaries echo it.  Two trees behave the same exactly
 when their digests do:
 
-    python3 tools/output_digests.py --tree OLD --seed 3,11 --threads 1,2 > old.txt
-    python3 tools/output_digests.py --tree NEW --seed 3,11 --threads 1,2 > new.txt
+    SEEDS=3,11,18446744073709551621
+    python3 tools/output_digests.py --tree OLD --seed $SEEDS --threads 1,2 > old.txt
+    python3 tools/output_digests.py --tree NEW --seed $SEEDS --threads 1,2 > new.txt
     diff old.txt new.txt
+
+The third seed is 2^64 + 5, so the high word of the Philox key is nonzero.
 
 gmsim runs from the tree's `src/` with this interpreter, one invocation at
 a time.  Standard library only.
