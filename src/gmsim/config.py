@@ -137,7 +137,9 @@ def _is_number(v) -> bool:
 def _number(sec: dict, key: str, default, errors: list, where: str, cast=float):
     """sec[key] (or default when absent) cast to a number; a value that is
     not a finite number, or not integral when cast is int, adds an error
-    naming section and key and yields default."""
+    naming section and key and yields default.  So does an int written in
+    float notation above 2**53, where floats skip integers: seed = 1e23
+    would name the key 99999999999999991611392."""
     raw = sec.get(key, default)
     if not _is_number(raw):
         rule = "a number"
@@ -145,6 +147,8 @@ def _number(sec: dict, key: str, default, errors: list, where: str, cast=float):
         rule = "finite"
     elif cast is int and raw != int(raw):
         rule = "an integer"
+    elif cast is int and isinstance(raw, float) and abs(raw) > 2**53:
+        rule = "written without float notation above 2**53"
     else:
         return cast(raw)
     errors.append(f"[{where}] {key} must be {rule}, got {_fmt(raw)!r}")

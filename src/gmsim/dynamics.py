@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import Potential
+from .potentials import Potential, particle_mean, sq_norm
 from .rng import INIT_STEP, BrownianSource
 
 EULER = "euler"
@@ -102,9 +102,10 @@ def drift(
     that stands for u_t.
     """
     x = np.asarray(positions, dtype=float)
-    b = -W.mean_grad(x, x if law is None else law)
+    b = W.mean_grad(x, x if law is None else law)
+    np.negative(b, out=b)
     if not V.is_zero:
-        b = b - V.grad(x)
+        b -= V.grad(x)
     if not np.isfinite(b).all():
         bad = np.argwhere(~np.isfinite(b))
         raise IntegrationError(f"non-finite drift at entry {bad[0].tolist()}")
@@ -125,29 +126,43 @@ def project(x: np.ndarray) -> np.ndarray:
     """Remove the ensemble mean over the particle axis: the projection onto
     the zero-mean hyperplane, of positions or of the increments, where it
     realizes the projected system's driving noise sqrt(2)(dB^i - mean_j dB^j)."""
-    return x - x.sum(axis=-2, keepdims=True) / x.shape[-2]
+    return x - particle_mean(x)
 
 
 def apply_scheme(
     x: np.ndarray, b: np.ndarray, xi: np.ndarray, policy: StepPolicy, projected: bool = False,
 ) -> np.ndarray:
-    """One update of positions x (..., N, d) under drift b, driven by the
-    standard normal increments xi, with policy's scheme and dt.  In
-    projected mode the increments lose their ensemble mean and the result is
-    recentred on the zero-mean hyperplane; a non-finite result raises
-    IntegrationError."""
-    if projected:
-        xi = project(xi)
+    """One update of positions x (..., N, d) under the drift b at x, which
+    has x's shape, driven by the standard normal increments xi, with
+    policy's scheme and dt: x + b dt + sqrt(2 dt) xi for Euler, and
+    x + b dt / (1 + dt |b|) + sqrt(2 dt) xi when tamed.  In projected mode
+    the increments lose their ensemble mean and the result is recentred on
+    the zero-mean hyperplane; a non-finite result raises IntegrationError.
+
+    The update is built in one array made from b dt, in the order of the
+    formulas above, and never writes into x, b or xi (xi may be a view of a
+    noise window that several ensembles share)."""
     dt = policy.dt
-    if policy.scheme == EULER:
-        x_new = x + b * dt + np.sqrt(2.0 * dt) * xi
-    else:  # TAMED
-        bnorm = np.sqrt(np.add.reduce(b * b, axis=-1, keepdims=True))
-        x_new = x + b * dt / (1.0 + dt * bnorm) + np.sqrt(2.0 * dt) * xi
+    if projected:
+        noise = project(xi)
+        noise *= np.sqrt(2.0 * dt)
+    else:
+        noise = xi * np.sqrt(2.0 * dt)
+    x_new = b * dt
+    if policy.scheme == TAMED:
+        tame = sq_norm(b)
+        np.sqrt(tame, out=tame)
+        tame *= dt
+        tame += 1.0
+        x_new /= tame
+    x_new += x
+    x_new += noise
     if not np.isfinite(x_new).all():
         bad = np.argwhere(~np.isfinite(x_new))
         raise IntegrationError(f"non-finite position at entry {bad[0].tolist()}")
-    return project(x_new) if projected else x_new
+    if projected:
+        x_new -= particle_mean(x_new)
+    return x_new
 
 
 def observation_steps(obs_times, dt: float) -> list[int]:

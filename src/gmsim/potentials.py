@@ -88,7 +88,11 @@ class Potential:
         exactly in the moments of y about its mean ybar, in O((N + M) d^2):
         with u = x - ybar, v = y - ybar and S = E[v v^T], p = 4 gives
         4 (|u|^2 u + 2 S u + tr(S) u - E[|v|^2 v]) and the quadratic kind
-        2 kappa u.  The zero kind returns +0.0 without forming pairs.
+        2 kappa u.  Past the differences to y, every step works in place on
+        an array made here, so x and y are never written.  In d = 1 the
+        coordinate sum |v|^2 is v * v and the 1 x 1 product 2 u @ S is
+        (2 u) * S + 0.0, each with the bits of the general form.  The zero
+        kind returns +0.0 without forming pairs.
 
         Every other kind is radial, grad W(z) = g(|z|^2) z, and is summed
         over pairs in three steps: the differences z = x_i - y_j, one
@@ -117,17 +121,34 @@ class Potential:
         m, same = y.shape[-2], x is y
         y0 = y[..., :1, :]
         v = y - y0
-        shift = v.sum(axis=-2, keepdims=True) / m
-        u = (v if same else x - y0) - shift
+        shift = particle_mean(v)
+        u = v if same else x - y0
+        u -= shift
         if self.params.get("p") != 4.0:  # quadratic, or power_law p = 2 with kappa = 1
-            return 2.0 * self.params.get("kappa", 1.0) * u
-        v = u if same else v - shift
-        vv = np.sum(v * v, axis=-1, keepdims=True)
-        S = np.swapaxes(v, -1, -2) @ v / m
-        trace = vv.sum(axis=-2, keepdims=True) / m
-        skew = (vv * v).sum(axis=-2, keepdims=True) / m
-        uu = vv if same else np.sum(u * u, axis=-1, keepdims=True)
-        return 4.0 * ((uu + trace) * u + 2.0 * u @ S - skew)
+            u *= 2.0 * self.params.get("kappa", 1.0)
+            return u
+        if not same:
+            v -= shift
+        vv = sq_norm(v)
+        S = np.swapaxes(v, -1, -2) @ v
+        S /= m
+        trace = particle_mean(vv)
+        skew = particle_mean(vv * v)
+        uu = vv if same else sq_norm(u)
+        uu += trace
+        out = uu * u
+        if u.shape[-1] == 1:
+            # The 1 x 1 gemm adds the product (2 u) S to a +0.0 start, so
+            # a -0.0 product comes out +0.0.
+            us = 2.0 * u
+            us *= S
+            us += 0.0
+        else:
+            us = 2.0 * u @ S
+        out += us
+        out -= skew
+        out *= 4.0
+        return out
 
     def _pair_weight(self, s: np.ndarray) -> np.ndarray:
         """The radial weight g(s) with grad W(z) = g(|z|^2) z, written over
@@ -168,6 +189,20 @@ class Potential:
             bump = np.where(s < 1.0, a * (1.0 - s) ** 3, 0.0)
             return kappa * np.sum(x * x, axis=-1) + bump
         raise AssertionError(self.kind)
+
+
+def particle_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over the particle axis -2, kept as an axis of length 1."""
+    mean = a.sum(axis=-2, keepdims=True)
+    mean /= a.shape[-2]
+    return mean
+
+
+def sq_norm(a: np.ndarray) -> np.ndarray:
+    """|a|^2 over the last axis, kept as an axis of length 1.  In d = 1 it
+    is a * a itself, the one term that the sum would return."""
+    sq = a * a
+    return sq if a.shape[-1] == 1 else np.add.reduce(sq, axis=-1, keepdims=True)
 
 
 def power_law(p: float, **declared) -> Potential:

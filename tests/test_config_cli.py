@@ -548,6 +548,24 @@ def test_cli_non_finite_numbers_are_config_errors(tmp_path, capsys, overrides, e
     assert not out.exists()
 
 
+def test_cli_integer_key_in_float_notation_above_2_53_is_a_config_error(tmp_path, capsys):
+    # seed = 1e23 loaded as the key 99999999999999991611392, not 10**23
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, output={"dir": str(out)}, experiment={"seed": "1e23"})
+    assert run_cli(["simulate", "--config", path, "--seed", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: [experiment] seed must be written without float"
+                            " notation above 2**53, got '1e+23'\n")
+    assert captured.out == ""
+    assert not out.exists()
+    # float notation stays valid for integers a float holds exactly
+    cfg = make_config(dynamics={"n": "1e1"}, experiment={"seed": "9007199254740992.0"})
+    assert (cfg.n, cfg.seed) == (10, 2**53)
+    assert type(cfg.n) is int and type(cfg.seed) is int
+    with pytest.raises(ConfigError, match=r"seed must be written without float notation"):
+        make_config(experiment={"seed": "9007199254740994.0"})
+
+
 def test_cli_initial_law_parameter_its_kind_does_not_read_exits_usage(tmp_path, capsys):
     # the [initial_law] alone ran and exited 0, its stray keys unread and
     # out of the hash

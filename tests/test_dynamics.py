@@ -143,6 +143,43 @@ def test_mean_grad_of_a_cloud_with_itself_takes_the_same_bits(W, shape):
     np.testing.assert_array_equal(W.mean_grad(x, x), W.mean_grad(x, x.copy()))
 
 
+def quartic_moment_reference(x, y):
+    """The p = 4 moment expansion in its general form, one fresh array per
+    operation, |v|^2 as a coordinate sum and 2 u S as a matmul: the
+    reference whose bits mean_grad keeps in every d."""
+    m, same = y.shape[-2], x is y
+    y0 = y[..., :1, :]
+    v = y - y0
+    shift = v.sum(axis=-2, keepdims=True) / m
+    u = (v if same else x - y0) - shift
+    v = u if same else v - shift
+    vv = np.sum(v * v, axis=-1, keepdims=True)
+    S = np.swapaxes(v, -1, -2) @ v / m
+    trace = vv.sum(axis=-2, keepdims=True) / m
+    skew = (vv * v).sum(axis=-2, keepdims=True) / m
+    uu = vv if same else np.sum(u * u, axis=-1, keepdims=True)
+    return 4.0 * ((uu + trace) * u + 2.0 * u @ S - skew)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e-103, 0.0])
+def test_mean_grad_quartic_keeps_the_bits_of_the_general_form(d, scale):
+    # Spreads near 1e-103 put 2 u S below the smallest normal, where
+    # 2 (u S) and (2 u) S round apart; signed zeros give -0.0 products,
+    # which the 1 x 1 matmul returns as +0.0.
+    gen = np.random.default_rng(d)
+    W = power_law(4.0)
+    x = scale * gen.normal(size=(2, 3, 5, d))
+    y = scale * gen.normal(size=(2, 3, 7, d))
+    signed = gen.choice([0.0, -0.0, 1.0, -1.0], size=x.shape)
+    for a, b in ((x, x), (x, y), (x[:, :1], y), (signed, signed), (signed, -signed)):
+        assert W.mean_grad(a, b).tobytes() == quartic_moment_reference(a, b).tobytes()
+    zeros = np.zeros((1, d))
+    for point in (x, signed):
+        want = quartic_moment_reference(point[..., None, :], zeros)[..., 0, :]
+        assert W.grad(point).tobytes() == want.tobytes()
+
+
 def test_mean_grad_quartic_against_two_points_closed_form():
     # The chaos proxy's call: one point per run against an auxiliary
     # ensemble, here the two points -a and a in d = 1.
@@ -275,6 +312,48 @@ def test_tamed_close_to_euler_for_small_drift(rng):
     eu = apply_scheme(x, b, xi, StepPolicy("euler", dt))
     ta = apply_scheme(x, b, xi, StepPolicy("tamed", dt))
     assert np.max(np.abs(eu - ta)) <= np.max(dt * np.abs(b)) * np.max(dt * np.abs(b))
+
+
+@pytest.mark.parametrize("projected", [False, True])
+def test_tamed_step_in_3d_against_its_closed_form(projected):
+    # x + b dt / (1 + dt |b|) + sqrt(2 dt) xi with |b| = 5 for both
+    # particles and dt = 0.5: the drift step is b / 7 and sqrt(2 dt) = 1.
+    # Taming each coordinate by its own |b_k| would give other values.
+    x = np.array([[[1.0, 2.0, 3.0], [-1.0, 0.0, 2.0]]])
+    b = np.array([[[3.0, 4.0, 0.0], [0.0, -3.0, 4.0]]])
+    xi = np.array([[[1.0, -1.0, 0.5], [0.0, 2.0, -1.0]]])
+    out = apply_scheme(x, b, xi, StepPolicy("tamed", 0.5), projected)
+    if projected:
+        expected = [[[12 / 7, 0.0, 27 / 28], [-12 / 7, 0.0, -27 / 28]]]
+        np.testing.assert_allclose(out.sum(axis=-2), 0.0, atol=1e-15)
+    else:
+        expected = [[[2 + 3 / 7, 1 + 4 / 7, 3.5], [-1.0, 2 - 3 / 7, 1 + 4 / 7]]]
+    np.testing.assert_allclose(out, expected, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("projected", [False, True])
+@pytest.mark.parametrize("scheme", ["euler", "tamed"])
+def test_a_step_writes_into_none_of_its_inputs(rng, d, projected, scheme):
+    # xi is a view of a noise window, as in the chaos walk, which hands the
+    # same window to its proxies and to every N-system; a proxy's law is an
+    # ensemble that is not its positions
+    window = rng.normal(size=(3, 8, d))
+    xi = window[:, :5]
+    x = rng.normal(size=(2, 3, 5, d))
+    xbar, law = x[0, :, :1], rng.normal(size=(3, 7, d))
+    V, policy = quadratic(0.35), StepPolicy(scheme, 0.01)
+    inputs = (window, x, law)
+    before = tuple(a.copy() for a in inputs)
+    for W in (power_law(4.0), quadratic(1.0), uniform_plus_bump(1.0, -0.5, 1.0)):
+        b, b_law = drift(x, V, W), drift(xbar, V, W, law)
+        drifts = (b, b_law)
+        kept = tuple(a.copy() for a in drifts)
+        apply_scheme(x, b, xi, policy, projected)
+        apply_scheme(xbar, b_law, window[:, :1], policy, projected)
+        step_batch(x, V, W, policy, xi, projected)
+        for now, then in zip(inputs + drifts, before + kept):
+            assert now.tobytes() == then.tobytes()
 
 
 def test_euler_blows_up_tamed_does_not():

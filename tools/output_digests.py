@@ -5,12 +5,14 @@ For every `configs/*.cfg` of a tree it runs check-potential once, and
 simulate (with and without --positions) and the five experiments at each
 given seed and thread count.  simulate runs on a copy of the config whose
 `[output] formats` is every format, so that each config's JSONL and `.bin`
-files are digested too.  Each invocation writes into a fresh --out
-directory, and prints one block: the command line, the exit code and the
-sha256 of stdout, of stderr and of every file written.  The output
-directory's path is replaced by `OUT` in the streams and files before they
-are hashed, since summaries echo it.  Two trees behave the same exactly
-when their digests do:
+files are digested too.  No shipped config runs the quartic moment path in
+d > 1, so simulate --positions also runs on a copy of simulate_small.cfg
+with `[dynamics] dim = 2` (DIM_COPIES).  Each invocation writes into a
+fresh --out directory, and prints one block: the command line, the exit
+code and the sha256 of stdout, of stderr and of every file written.  The
+output directory's path is replaced by `OUT` in the streams and files
+before they are hashed, since summaries echo it.  Two trees behave the same
+exactly when their digests do:
 
     SEEDS=3,11,18446744073709551621
     python3 tools/output_digests.py --tree OLD --seed $SEEDS --threads 1,2 > old.txt
@@ -36,6 +38,9 @@ from pathlib import Path
 
 EXPERIMENTS = ("decay", "chaos-scan", "uniform-moments", "exp-square-moment", "concentration")
 ALL_FORMATS = "csv,jsonl,bin"
+# Generated configs, by the name their command lines show: (the shipped
+# config they copy, the dim they set).  simulate --positions runs on each.
+DIM_COPIES = {"configs/simulate_small.d2.cfg": ("configs/simulate_small.cfg", 2)}
 
 
 def invocations(configs, seeds, threads):
@@ -49,28 +54,50 @@ def invocations(configs, seeds, threads):
                 yield ["simulate", *common, "--positions"]
                 for experiment in EXPERIMENTS:
                     yield [experiment, *common]
+    for name, (cfg, _) in DIM_COPIES.items():
+        if cfg in configs:
+            for seed in seeds:
+                for t in threads:
+                    yield ["simulate", "--config", name, "--seed", str(seed), "--threads", str(t),
+                           "--positions"]
+
+
+def with_setting(text: str, section: str, key: str, value) -> str:
+    """Config text with `key = value` in [section], in place of any line
+    that sets key there; the section is appended when text has none."""
+    header = f"[{section}]"
+    lines, current = [], None
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped.startswith("["):
+            current = stripped
+        elif current == header and stripped.partition("=")[0].strip() == key:
+            continue
+        lines.append(line)
+        if stripped == header:
+            lines.append(f"{key} = {value}")
+    if header not in (line.strip() for line in lines):
+        lines += [header, f"{key} = {value}"]
+    return "\n".join(lines) + "\n"
 
 
 def with_all_formats(text: str) -> str:
     """Config text with `[output] formats` set to every format."""
-    lines, section = [], None
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("["):
-            section = stripped
-        elif section == "[output]" and stripped.partition("=")[0].strip() == "formats":
-            continue
-        lines.append(line)
-        if stripped == "[output]":
-            lines.append(f"formats = {ALL_FORMATS}")
-    if "[output]" not in (line.strip() for line in lines):
-        lines += ["[output]", f"formats = {ALL_FORMATS}"]
-    return "\n".join(lines) + "\n"
+    return with_setting(text, "output", "formats", ALL_FORMATS)
+
+
+def config_text(tree: Path, cfg: str) -> str:
+    """The text of a shipped config, or of the copy that DIM_COPIES names."""
+    if cfg in DIM_COPIES:
+        shipped, dim = DIM_COPIES[cfg]
+        return with_setting((tree / shipped).read_text(), "dynamics", "dim", dim)
+    return (tree / cfg).read_text()
 
 
 def digest(tree: Path, argv) -> tuple[int, list]:
     """Run gmsim argv in tree; returns its exit code and its digest lines.
-    simulate reads its config with every output format."""
+    simulate reads its config, or a copy that DIM_COPIES names, with every
+    output format."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
@@ -78,7 +105,7 @@ def digest(tree: Path, argv) -> tuple[int, list]:
         if argv[0] == "simulate":
             i = argv.index("--config") + 1
             run[i] = os.path.join(tmp, "simulate.cfg")
-            Path(run[i]).write_text(with_all_formats((tree / argv[i]).read_text()))
+            Path(run[i]).write_text(with_all_formats(config_text(tree, argv[i])))
         extra = [] if argv[0] == "check-potential" else ["--out", out]
         proc = subprocess.run([sys.executable, "-m", "gmsim.cli", *run, *extra], cwd=tree,
                               env=env, capture_output=True)
