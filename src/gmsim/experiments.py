@@ -243,12 +243,19 @@ def decay_experiment(config: SimConfig, threads: int = 1) -> DecayResult:
     exponential rate is fitted on the whole series above 1e-10 xi(0) when
     alpha = 0, and before xi first reaches 1 otherwise; fit_windows'
     exp_until is the first observation time the fit leaves out, None when
-    it runs to the end."""
+    it runs to the end.
+
+    Raw mode with V = 0 is refused: the pair forces cancel in each copy's
+    centre of mass and both copies share the noise, so the offset of the
+    two centres of mass is conserved and xi never falls below its square."""
     W = config.potential_W
     if W.declared_A <= 0.0:
         raise ValueError("decay_experiment needs declared (A, alpha) on potential_W")
     if config.initial_law_b is None:
         raise ValueError("decay_experiment needs a second initial law")
+    if config.mode == "raw" and config.potential_V.is_zero:
+        raise ValueError("decay_experiment in mode = raw needs a nonzero potential_V: with "
+                         "V = 0 the coupled centre-of-mass offset is conserved, so xi cannot decay")
     A, alpha, runs = W.declared_A, W.declared_alpha, config.runs
     times, xi_runs = coupled_batch(config, threads)
     xi, se = _mc_mean(xi_runs.T)
@@ -475,7 +482,7 @@ def exp_square_moment_experiment(config: SimConfig, delta: float = 0.1, threads:
     """E exp(delta |X_t - Y_t|^2) for two independent copies, the second at
     seed + 1 (mod 2^128, so it stays a Philox key); returns the estimated
     series and its closed form and the a-priori bound from the declared
-    (lambda, C) of potential_V.
+    (lambda, C) of potential_V, which needs lambda > 0.
 
     The closed form needs independent linear-drift particles from a point
     mass: V = kappa |x|^2, no interaction, raw mode.  Then X_t - Y_t is
@@ -490,6 +497,9 @@ def exp_square_moment_experiment(config: SimConfig, delta: float = 0.1, threads:
             "potential_W, mode = raw and a point-mass two_point initial law"
         )
     lam = V.declared_lambda
+    if lam <= 0.0:
+        raise ValueError("the exponential square-moment bound needs a declared lambda > 0 "
+                         "on potential_V (convexity at infinity, with its C)")
     bound = exp_square_moment_bound(delta, lam, V.declared_C, DIFFUSION_BOUND_A, config.dim)
     times, pos_x = simulate_batch(config, threads=threads)
     _, pos_y = simulate_batch(replace(config, seed=(config.seed + 1) % SEED_LIMIT),

@@ -10,12 +10,10 @@ are labeled as such.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 
 import numpy as np
-import scipy
 
 POWER_LAW = "power_law"
 QUADRATIC = "quadratic"
@@ -261,10 +259,9 @@ def default_tolerance(bound_scale: float = 0.0) -> float:
     return 1e-9 * (1.0 + abs(bound_scale))
 
 
-# Probe set of every checker: the first PROBES points of scipy's scrambled
-# Sobol sequence (qmc.Sobol(2 dim, scramble=True, seed=0)), rebuilt here
-# from scipy's direction-number table so that checking needs no
-# scipy.stats, mapped to the box [-EXTENT, EXTENT]^(2 dim); plus
+# Probe set of every checker: the first PROBES points of the Halton
+# sequence in 2 dim coordinates, each shifted by 1/2 mod 1 so that point 0
+# is the box centre, mapped to the box [-EXTENT, EXTENT]^(2 dim); plus
 # near-diagonal pairs.  The degenerate-convexity bound is probed at each
 # eps of EPS_GRID.
 PROBES = 256
@@ -272,47 +269,32 @@ EXTENT = 4.0
 EPS_GRID = np.array([0.05, 0.1, 0.25, 0.5, 0.75, 0.95])
 
 
-def _sobol(d: int, n: int) -> np.ndarray:
-    """The first n points of scipy's qmc.Sobol(d, scramble=True, seed=0):
-    30-bit Joe-Kuo direction numbers, an LMS + digital-shift scramble drawn
-    from default_rng(0), points in Gray-code order."""
-    bits = 30
-    path = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
-    with np.load(path) as table:
-        poly, vinit = table["poly"][:d], table["vinit"][:d]
-    # Direction numbers from each primitive polynomial's recurrence; the
-    # first coordinate is the van der Corput sequence.
-    v = np.ones((d, bits), dtype=np.int64)
-    for k in range(1, d):
-        p = int(poly[k])
-        m = p.bit_length() - 1
-        v[k, :m] = vinit[k, :m]
-        for j in range(m, bits):
-            v[k, j] = v[k, j - m]
-            for i in range(m):
-                if (p >> (m - 1 - i)) & 1:
-                    v[k, j] ^= v[k, j - i - 1] << (i + 1)
-    top = np.arange(bits - 1, -1, -1)
-    v <<= top
-    rng = np.random.default_rng(0)
-    shift = rng.integers(0, 2, size=(d, bits), dtype=np.uint32) @ (1 << np.arange(bits))
-    ltm = np.tril(rng.integers(0, 2, size=(d, bits, bits), dtype=np.uint32))
-    ltm[:, range(bits), range(bits)] = 1
-    # Scrambled bit p (counted from the top) of a direction number is the
-    # parity of row p of ltm against its bits.
-    v = (np.einsum("dpc,djc->djp", ltm, (v[:, :, None] >> top) & 1) & 1) @ (1 << top)
-    gray = np.arange(n) ^ (np.arange(n) >> 1)
-    digits = (gray[:, None] >> np.arange(max(n - 1, 1).bit_length())) & 1
-    points = np.bitwise_xor.reduce(digits[:, :, None] * v.T[: digits.shape[1]], axis=1)
-    return (points ^ shift) * 2.0**-bits
+def _halton(d: int, n: int) -> np.ndarray:
+    """The first n points of the Halton sequence in d coordinates, shifted
+    by 1/2 mod 1: coordinate k is the radical inverse of the point index
+    in the k-th prime (Halton 1960)."""
+    primes, p = [], 1
+    while len(primes) < d:
+        p += 1
+        if all(p % q for q in primes):
+            primes.append(p)
+    points = np.zeros((n, d))
+    for k, b in enumerate(primes):
+        i, scale = np.arange(n), 1.0
+        while i.any():
+            scale /= b
+            points[:, k] += scale * (i % b)
+            i //= b
+    return (points + 0.5) % 1.0
 
 
 @cache
 def _probe_pairs(dim: int):
-    """Low-discrepancy (x, y) pairs in the box, augmented with
-    near-diagonal pairs y = x + delta e_k where degenerate convexity
-    concentrates.  Deterministic; computed once per dim and read-only."""
-    pts = _sobol(2 * dim, PROBES) * (2.0 * EXTENT) - EXTENT
+    """Low-discrepancy (x, y) pairs in the box, the first at the origin,
+    augmented with near-diagonal pairs y = x + delta e_k where degenerate
+    convexity concentrates.  Deterministic; computed once per dim and
+    read-only."""
+    pts = _halton(2 * dim, PROBES) * (2.0 * EXTENT) - EXTENT
     x = pts[:, :dim]
     y = pts[:, dim:]
     extra_x = []

@@ -685,6 +685,7 @@ def test_cli_decay_in_d2_starts_from_the_optimal_pairing(tmp_path, capsys):
     n, runs = 5, 3
     path = write_cfg(
         tmp_path,
+        potential_V={"kind": "quadratic", "kappa": 0.5},
         dynamics={"n": n, "dim": 2, "mode": "raw", "dt": 0.05},
         experiment={"horizon": 0.1, "obs_times": "0.0,0.1", "runs": runs},
         initial_law_b={"kind": "gaussian", "mean": "1.5,-0.5", "sigma": 0.5},
@@ -700,6 +701,48 @@ def test_cli_decay_in_d2_starts_from_the_optimal_pairing(tmp_path, capsys):
         best.append(min(np.mean(np.sum((xa - xb[list(p)]) ** 2, axis=-1))
                         for p in itertools.permutations(range(n))))
     assert summary["result"]["xi"][0] == pytest.approx(np.mean(best), rel=1e-12)
+
+
+def test_cli_decay_refuses_raw_mode_without_confinement(tmp_path, capsys):
+    # With V = 0 the coupled centre-of-mass offset is conserved, so xi
+    # cannot decay; the run is refused before anything is simulated.
+    out = tmp_path / "out"
+    path = write_cfg(
+        tmp_path,
+        dynamics={"n": 4, "mode": "raw", "dt": 0.05},
+        experiment={"horizon": 0.1, "obs_times": "0.0,0.1", "runs": 2},
+        initial_law_b={"kind": "gaussian", "mean": 2.0, "sigma": 0.5},
+        output={"dir": str(out)},
+    )
+    code = run_cli(["decay", "--config", path, "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error: decay_experiment in mode = raw needs a nonzero "
+                                   "potential_V")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_exp_square_moment_names_the_missing_lambda(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_cfg(
+        tmp_path,
+        potential_V={"kind": "quadratic", "kappa": 0.5},
+        potential_W={"kind": "zero", "p": None, "m": None, "A": None, "alpha": None},
+        dynamics={"n": 8, "mode": "raw", "scheme": "euler", "dt": 0.01},
+        initial_law={"kind": "two_point", "point_a": 0.0, "point_b": 0.0},
+        experiment={"horizon": 0.5, "obs_times": "0.25,0.5", "runs": 4},
+        output={"dir": str(out)},
+    )
+    code = run_cli(["exp-square-moment", "--config", path, "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error: the exponential square-moment bound needs a "
+                                   "declared lambda > 0 on potential_V")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_integration_error_is_one_line(tmp_path, capsys):

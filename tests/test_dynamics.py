@@ -478,6 +478,26 @@ def test_coupled_difference_is_noise_free():
     np.testing.assert_allclose(na - nb, (xa - xb) + (ba - bb) * 0.02, atol=1e-15)
 
 
+@pytest.mark.parametrize("W", [quadratic(1.0), power_law(4.0)], ids=["quadratic", "quartic"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_raw_coupled_centre_of_mass_offset_is_conserved_without_confinement(W, d):
+    # With V = 0 the pair forces cancel in each copy's centre of mass and
+    # both copies share the noise, so mean(xa) - mean(xb) never moves and
+    # xi = mean |xa_i - xb_i|^2 stays at or above its square (Jensen).  Euler
+    # keeps the cancellation exact; taming rescales each force on its own.
+    rng = np.random.default_rng(5)
+    runs, n = 3, 6
+    x = np.stack((rng.normal(size=(runs, n, d)), 2.0 + 0.5 * rng.normal(size=(runs, n, d))))
+    offset = x[0].mean(axis=-2) - x[1].mean(axis=-2)
+    src, policy = BrownianSource(11), StepPolicy(scheme="euler", dt=0.01)
+    for k in range(100):
+        x = step_batch(x, zero(), W, policy, batch_noise(src, run_streams(range(runs)), k, n, d))
+        np.testing.assert_allclose(x[0].mean(axis=-2) - x[1].mean(axis=-2), offset,
+                                   rtol=0, atol=1e-13)
+        xi = np.mean(np.sum((x[0] - x[1]) ** 2, axis=-1), axis=-1)
+        assert np.all(xi >= np.sum(offset**2, axis=-1) * (1 - 1e-12))
+
+
 # ---------------------------------------------------------------------------
 # initial laws and couplings
 

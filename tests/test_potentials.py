@@ -269,13 +269,24 @@ def test_with_dim_probes_in_higher_dimension():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 10])
-def test_probe_points_are_scipys_scrambled_sobol_points(dim):
-    # scipy.stats is the independent oracle: the probe set is rebuilt from
-    # scipy's direction-number table, so a scipy release that moves or
-    # changes that table fails here.
-    oracle = qmc.Sobol(d=2 * dim, scramble=True, seed=0).random(PROBES) * (2 * EXTENT) - EXTENT
+def test_probe_points_are_shifted_halton_points(dim):
+    # scipy.stats is the independent oracle: the unscrambled Halton
+    # sequence, shifted by 1/2 mod 1 so that the first pair is the origin.
+    unit = (qmc.Halton(d=2 * dim, scramble=False).random(PROBES) + 0.5) % 1
+    oracle = unit * (2 * EXTENT) - EXTENT
     x, y = _probe_pairs(dim)
-    np.testing.assert_array_equal(x[:PROBES], oracle[:, :dim])
-    np.testing.assert_array_equal(y[:PROBES], oracle[:, dim:])
+    np.testing.assert_allclose(x[:PROBES], oracle[:, :dim], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(y[:PROBES], oracle[:, dim:], rtol=0, atol=1e-14)
+    assert not np.any(x[0]) and not np.any(y[0])
     assert _probe_pairs(dim)[0] is x
     assert not x.flags.writeable and not y.flags.writeable
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+def test_growth_fit_of_a_quadratic_is_its_closed_form_sup(kappa, dim):
+    # |grad W(x) - grad W(y)| = 2 kappa |x - y|, so below distance 1 the
+    # ratio is 2 kappa / (1 + |x| + |y|), largest at the pair
+    # (0, 1e-3 EXTENT e_k); further apart it stays below that in the box.
+    c_hat = check_polynomial_growth(quadratic(kappa), 1, dim).fitted_constants["C_hat"]
+    assert c_hat == pytest.approx(2.0 * kappa / (1.0 + 1e-3 * EXTENT), rel=1e-12, abs=0)
