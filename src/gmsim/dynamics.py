@@ -4,16 +4,17 @@ drift taming, the zero-mean projected system, and the synchronous coupling.
 Positions always carry a leading run axis, (runs, N, d); a single run is a
 batch of one.  Independent Monte Carlo runs advance in lockstep, step 0,
 1, 2, ... in order.  A chunk of runs takes its noise from a generator
-(noise_window) that yields each step's increments in turn and draws them a
-window of consecutive steps at a time, with one batch_noise call per window
-giving a (steps, runs, N, d) block in which run r reads its own
-counter-based stream; each step then makes one update with apply_scheme,
-keyed by the StepPolicy, which projects the noise and recentres the
-ensemble in projected mode and rejects non-finite states.
+(noise_window) that yields each step's increments in turn.  It draws them a
+window of consecutive steps at a time, with one batch_noise call per window,
+in place into a (steps, runs, N, d) buffer that it owns and reuses, so a
+yielded row lasts until the generator passes that row's window; run r reads
+its own counter-based stream.  Each step then makes one update with
+apply_scheme, keyed by the StepPolicy, which projects the noise and
+recentres the ensemble in projected mode and rejects non-finite states.
 observation_schedule walks the steps and yields the state once per
-observation.  Every block is a pure function of (seed, stream,
-step), so results are bit-identical whatever the windows, the batching or
-the thread count.
+observation.  Every block is a pure function of (seed, stream, step), so
+results are bit-identical whatever the windows, the batching or the thread
+count.
 """
 
 from __future__ import annotations
@@ -191,23 +192,30 @@ def observation_schedule(obs_steps, state, advance):
 NOISE_WINDOW_VALUES = 2**15
 
 
-def batch_noise(source: BrownianSource, streams, steps, n: int, dim: int) -> np.ndarray:
+def batch_noise(source: BrownianSource, streams, steps, n: int, dim: int, out=None) -> np.ndarray:
     """Per-run noise blocks of one step, stacked to (runs, n, dim), or of a
     sequence of steps, stacked to (len(steps), runs, n, dim), drawn in one
     call on the source; run r's block at a step depends only on its own
-    stream and that step, never on the batch or window composition."""
+    stream and that step, never on the batch or window composition.  Given
+    out, a C-contiguous float64 array of that shape, the blocks are drawn
+    in place into it and a view of it is returned."""
     shape = np.shape(steps) + (len(streams), n, dim)
-    return source.normals(streams, steps, n * dim).reshape(shape)
+    return source.normals(streams, steps, n * dim, out=out).reshape(shape)
 
 
 def noise_window(source: BrownianSource, streams, n: int, dim: int, end: int):
     """Yield the (runs, n, dim) increments of steps 0, 1, ..., end - 1 in
     turn.  They are drawn with one batch_noise call per window of
     NOISE_WINDOW_VALUES // (runs n dim) steps (at least one), none at or
-    past end, and one window is held at a time."""
+    past end, in place into a prefix of one (steps, runs, n, dim) buffer
+    that the generator owns; the next window overwrites it, so a yielded
+    row holds its step's increments only until the generator is advanced
+    past that row's window."""
     width = max(1, NOISE_WINDOW_VALUES // (len(streams) * n * dim))
+    buf = np.empty((min(width, end), len(streams), n, dim))
     for start in range(0, end, width):
-        yield from batch_noise(source, streams, range(start, min(start + width, end)), n, dim)
+        steps = range(start, min(start + width, end))
+        yield from batch_noise(source, streams, steps, n, dim, buf[:len(steps)])
 
 
 def step_batch(

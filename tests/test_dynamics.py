@@ -591,11 +591,26 @@ def test_noise_window_yields_each_step_in_turn(monkeypatch, width, end):
     # a window of `width` steps of 2 runs x 3 particles x 2 coordinates
     monkeypatch.setattr(dynamics, "NOISE_WINDOW_VALUES", width * 2 * 3 * 2)
     src, streams = BrownianSource(5), [0, 8]
-    got = list(noise_window(src, streams, 3, 2, end))
+    # a row lasts only until the generator passes its window
+    got = [xi.copy() for xi in noise_window(src, streams, 3, 2, end)]
     want = batch_noise(src, streams, range(end), 3, 2)
     assert len(got) == end
     for k, xi in enumerate(got):
         np.testing.assert_array_equal(xi, want[k])
+
+
+@pytest.mark.parametrize("n,dim", [(3, 2), (32, 1), (64, 1)], ids=["kernel", "quartic", "rekey"])
+def test_noise_window_draws_every_window_into_one_buffer(monkeypatch, n, dim):
+    # windows of 2 steps over 5 steps (2 + 2 + 1): step k is drawn into
+    # the buffer slot that step k % 2 of the first window used
+    monkeypatch.setattr(dynamics, "NOISE_WINDOW_VALUES", 2 * 2 * n * dim)
+    src, streams = BrownianSource(5), [0, 8]
+    rows, want = [], batch_noise(src, streams, range(5), n, dim)
+    for k, xi in enumerate(noise_window(src, streams, n, dim, 5)):
+        np.testing.assert_array_equal(xi, want[k])
+        rows.append(xi)
+    assert all(np.shares_memory(xi, rows[k % 2]) for k, xi in enumerate(rows))
+    assert not np.shares_memory(rows[0], rows[1])
 
 
 def test_simulate_horizon_zero_emits_initial_only():

@@ -199,9 +199,9 @@ def test_no_noise_window_reaches_the_last_observed_step(monkeypatch):
     monkeypatch.setattr(dynamics, "NOISE_WINDOW_VALUES", 3 * 64)
     normals, drawn = BrownianSource.normals, []
 
-    def spy(self, stream, step, count):
+    def spy(self, stream, step, count, out=None):
         drawn.extend(int(k) for k in np.ravel(step) if k != INIT_STEP)
-        return normals(self, stream, step, count)
+        return normals(self, stream, step, count, out=out)
 
     monkeypatch.setattr(BrownianSource, "normals", spy)
     # the chaos walk draws for its systems and its two auxiliary ensembles
@@ -224,10 +224,10 @@ def test_each_harness_draws_from_its_runs_role_streams(monkeypatch, threads):
         seen.append([len(c) for c in chunks])
         return map_chunks(fn, chunks, threads)
 
-    def spy_raw(self, stream, step, count):
+    def spy_raw(self, stream, step, count, out=None):
         initial = np.ndim(step) == 0 and step == INIT_STEP
         drawn.update((int(s), initial) for s in np.ravel(stream))
-        return raw(self, stream, step, count)
+        return raw(self, stream, step, count, out=out)
 
     monkeypatch.setattr(experiments, "_map_chunks", spy_map)
     monkeypatch.setattr(BrownianSource, "_raw", spy_raw)

@@ -33,20 +33,20 @@ def test_seed_list_runs_every_seed_and_checks_each_config_once(monkeypatch, caps
     runs = [(a[a.index("--seed") + 1], a[a.index("--threads") + 1])
             for a in seen if a[0] != "check-potential"]
     # 7 per config, seed and thread count, plus simulate --positions on the
-    # d = 2 copy of simulate_small.cfg
-    assert len(runs) == n_configs * 4 * 7 + 4
+    # d = 2 and the n = 5 copies of simulate_small.cfg
+    assert len(runs) == n_configs * 4 * 7 + 8
     assert set(runs) == {("3", "1"), ("3", "2"), ("11", "1"), ("11", "2")}
     assert capsys.readouterr().out.splitlines()[-1] == (
-        f"# {n_configs * 29 + 4} invocations; exit 0: {n_configs * 29 + 4}")
+        f"# {n_configs * 29 + 8} invocations; exit 0: {n_configs * 29 + 8}")
 
 
 def test_simulate_positions_also_runs_on_a_d2_copy_of_the_quartic_smoke_config():
     name = "configs/simulate_small.d2.cfg"
     assert not (ROOT / name).exists()
     cmds = list(output_digests.invocations(["configs/simulate_small.cfg"], [3], [1, 2]))
-    assert len(cmds) == 1 + 2 * 7 + 2
-    assert cmds[-2:] == [["simulate", "--config", name, "--seed", "3", "--threads", t,
-                          "--positions"] for t in ("1", "2")]
+    assert len(cmds) == 1 + 2 * 7 + 2 * 2
+    assert cmds[-4:-2] == [["simulate", "--config", name, "--seed", "3", "--threads", t,
+                            "--positions"] for t in ("1", "2")]
     assert name not in (c[2] for c in output_digests.invocations(["a.cfg"], [3], [1]))
     # the copy differs only in dim, and its quartic W takes the moment path
     cfg = parse_config(output_digests.config_text(ROOT, name))
@@ -54,6 +54,24 @@ def test_simulate_positions_also_runs_on_a_d2_copy_of_the_quartic_smoke_config()
     assert (cfg.dim, shipped.dim) == (2, 1)
     assert replace(cfg, dim=1) == shipped
     assert cfg.potential_W.kind == "power_law" and not cfg.potential_W.sums_pairs
+    code, lines = output_digests.digest(ROOT, cmds[-3])
+    assert code == 0 and lines[0] == " ".join(cmds[-3]) + ": exit 0"
+    files = [line.split()[0] for line in lines[3:]]
+    assert {f.rsplit(".", 1)[1] for f in files} == {"csv", "jsonl", "bin"}
+
+
+def test_simulate_positions_also_runs_on_an_n5_copy_whose_blocks_end_in_a_partial_one():
+    # n d = 5 values per (step, run) block: one whole Philox block of four
+    # words and one word of a second
+    name = "configs/simulate_small.n5.cfg"
+    assert not (ROOT / name).exists()
+    cmds = list(output_digests.invocations(["configs/simulate_small.cfg"], [3], [1, 2]))
+    assert cmds[-2:] == [["simulate", "--config", name, "--seed", "3", "--threads", t,
+                          "--positions"] for t in ("1", "2")]
+    cfg = parse_config(output_digests.config_text(ROOT, name))
+    shipped = parse_config((ROOT / "configs/simulate_small.cfg").read_text())
+    assert (cfg.n * cfg.dim, shipped.n) == (5, 16)
+    assert replace(cfg, n=16) == shipped
     code, lines = output_digests.digest(ROOT, cmds[-1])
     assert code == 0 and lines[0] == " ".join(cmds[-1]) + ": exit 0"
     files = [line.split()[0] for line in lines[3:]]

@@ -107,6 +107,33 @@ def test_frozen_values():
         0.8423538542929779, -0.746679885349223, -0.12411188556574197])
 
 
+@given(seed=SEEDS, steps=st.one_of(STEPS, STEP_LISTS), streams=STREAM_LISTS,
+       count=st.integers(1, 2 * MIN_REKEY_WORDS + 2))
+# partial last Philox blocks, and the counts on both sides of the re-key switch
+@example(seed=3, steps=[0, 1, 2], streams=[0, 8], count=6)
+@example(seed=SEED_LIMIT - 1, steps=5, streams=[1], count=MIN_REKEY_WORDS - 1)
+@example(seed=2**64 + 5, steps=[0, 1], streams=[2, 3], count=MIN_REKEY_WORDS)
+@example(seed=7, steps=[4], streams=[0, 1, 2], count=MIN_REKEY_WORDS + 1)
+@settings(max_examples=100, deadline=None)
+def test_normals_drawn_into_out_keep_their_bits(seed, steps, streams, count):
+    # out is a prefix of a larger buffer, filled with NaN so that a value
+    # left unwritten shows; it is returned in its own (flat) shape.
+    src = BrownianSource(seed)
+    want = src.normals(streams, steps, count)
+    buf = np.full(want.size + 5, np.nan)
+    got = src.normals(streams, steps, count, out=buf[:want.size])
+    assert got.shape == (want.size,) and np.shares_memory(got, buf)
+    np.testing.assert_array_equal(got.reshape(want.shape), want)
+    assert np.isnan(buf[want.size:]).all()
+
+
+def test_out_must_be_a_contiguous_float64_array():
+    src = BrownianSource(1)
+    for out in (np.empty((2, 8))[:, :4], np.empty(8, dtype=np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            src.normals([0, 1], 3, 4, out=out)
+
+
 def test_source_holds_no_generator():
     # Pool threads share one source, so a call must leave nothing behind.
     src = BrownianSource(5)
@@ -155,17 +182,32 @@ def test_uniforms_lie_in_open_interval():
     assert u.max() < 1.0
 
 
+def _fractions(words):
+    # what _raw writes for these words: their top 53 bits over 2^53
+    return (np.array(words, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+
+
 def test_top_word_maps_below_one():
     # Both words carry the top 53-bit value 2^53 - 1, whose half-unit
     # offset rounds up to 2^53: unclamped it would give u = 1, ndtri = inf.
-    top = np.array([2**64 - 1, 2**64 - 2**11], dtype=np.uint64)
-    u = _to_uniform(top)
+    u = _to_uniform(_fractions([2**64 - 1, 2**64 - 2**11]))
     assert np.all(u < 1.0)
     np.testing.assert_array_equal(u, np.nextafter(1.0, 0.0))
     assert np.all(np.isfinite(ndtri(u)))
     # The next word down and the bottom one map exactly as unclamped.
-    rest = np.array([2**64 - 2**12, 0], dtype=np.uint64)
-    np.testing.assert_array_equal(_to_uniform(rest), [(2**53 - 2) / 2**53, 0.5 / 2**53])
+    np.testing.assert_array_equal(_to_uniform(_fractions([2**64 - 2**12, 0])),
+                                  [(2**53 - 2) / 2**53, 0.5 / 2**53])
+
+
+def test_fraction_map_rounds_as_the_half_unit_offset_of_the_top_bits():
+    # Adding 2^-54 to v / 2^53 must round as v + 1/2 does, also where that
+    # sum is a tie (v >= 2^52), and for the top value that is clamped.
+    v = np.concatenate([np.arange(0, 4096), np.arange(2**52 - 4096, 2**52 + 4096),
+                        np.arange(2**53 - 4096, 2**53)]).astype(np.uint64)
+    v = np.concatenate([v, np.random.default_rng(3).integers(0, 2**53, 10**5, dtype=np.uint64)])
+    want = np.minimum((v.astype(np.float64) + 0.5) / 2.0**53, np.nextafter(1.0, 0.0))
+    got = _to_uniform(_fractions(v << np.uint64(11)))
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_normals_match_standard_moments():

@@ -6,13 +6,14 @@ simulate (with and without --positions) and the five experiments at each
 given seed and thread count.  simulate runs on a copy of the config whose
 `[output] formats` is every format, so that each config's JSONL and `.bin`
 files are digested too.  No shipped config runs the quartic moment path in
-d > 1, so simulate --positions also runs on a copy of simulate_small.cfg
-with `[dynamics] dim = 2` (DIM_COPIES).  Each invocation writes into a
-fresh --out directory, and prints one block: the command line, the exit
-code and the sha256 of stdout, of stderr and of every file written.  The
-output directory's path is replaced by `OUT` in the streams and files
-before they are hashed, since summaries echo it.  Two trees behave the same
-exactly when their digests do:
+d > 1, or draws blocks of n d values that end in a partial Philox block of
+four words, so simulate --positions also runs on copies of
+simulate_small.cfg with `[dynamics] dim = 2` and with `n = 5` (COPIES).
+Each invocation writes into a fresh --out directory, and prints one block:
+the command line, the exit code and the sha256 of stdout, of stderr and of
+every file written.  The output directory's path is replaced by `OUT` in
+the streams and files before they are hashed, since summaries echo it.  Two
+trees behave the same exactly when their digests do:
 
     SEEDS=3,11,18446744073709551621
     python3 tools/output_digests.py --tree OLD --seed $SEEDS --threads 1,2 > old.txt
@@ -39,8 +40,10 @@ from pathlib import Path
 EXPERIMENTS = ("decay", "chaos-scan", "uniform-moments", "exp-square-moment", "concentration")
 ALL_FORMATS = "csv,jsonl,bin"
 # Generated configs, by the name their command lines show: (the shipped
-# config they copy, the dim they set).  simulate --positions runs on each.
-DIM_COPIES = {"configs/simulate_small.d2.cfg": ("configs/simulate_small.cfg", 2)}
+# config they copy, the [dynamics] key they set, its value).  simulate
+# --positions runs on each.
+COPIES = {"configs/simulate_small.d2.cfg": ("configs/simulate_small.cfg", "dim", 2),
+          "configs/simulate_small.n5.cfg": ("configs/simulate_small.cfg", "n", 5)}
 
 
 def invocations(configs, seeds, threads):
@@ -54,7 +57,7 @@ def invocations(configs, seeds, threads):
                 yield ["simulate", *common, "--positions"]
                 for experiment in EXPERIMENTS:
                     yield [experiment, *common]
-    for name, (cfg, _) in DIM_COPIES.items():
+    for name, (cfg, *_) in COPIES.items():
         if cfg in configs:
             for seed in seeds:
                 for t in threads:
@@ -87,16 +90,16 @@ def with_all_formats(text: str) -> str:
 
 
 def config_text(tree: Path, cfg: str) -> str:
-    """The text of a shipped config, or of the copy that DIM_COPIES names."""
-    if cfg in DIM_COPIES:
-        shipped, dim = DIM_COPIES[cfg]
-        return with_setting((tree / shipped).read_text(), "dynamics", "dim", dim)
+    """The text of a shipped config, or of the copy that COPIES names."""
+    if cfg in COPIES:
+        shipped, key, value = COPIES[cfg]
+        return with_setting((tree / shipped).read_text(), "dynamics", key, value)
     return (tree / cfg).read_text()
 
 
 def digest(tree: Path, argv) -> tuple[int, list]:
     """Run gmsim argv in tree; returns its exit code and its digest lines.
-    simulate reads its config, or a copy that DIM_COPIES names, with every
+    simulate reads its config, or a copy that COPIES names, with every
     output format."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     with tempfile.TemporaryDirectory() as tmp:
