@@ -42,18 +42,19 @@ from .rng import SEED_LIMIT, BrownianSource
 # and GIL contention than the threads win back.  Measured on a 2-core host
 # with chaos_scan, N in {8, 64}, 8 runs, 2 threads: the pool lost at 12.6 k
 # elements per chunk, tied at 25 k and won from 37 k on.  For a pairwise W
-# (simulate_batch, uniform_plus_bump, 8 runs, 2 threads, d in {1, 2, 3}) it
-# lost up to 62 k n x n x d pair-temporary elements per chunk in d = 3,
-# 51 k in d = 2 and 50 k in d = 1, and won from 77 k, 74 k and 66 k on; so
-# a pair-temporary element counts as half an element.
+# (simulate_batch, uniform_plus_bump, 8 runs, 2 threads) the pool lost up to
+# 102 k elements of the n x n planes per chunk in d = 1 and won from 124 k
+# on; in d = 2 it won from 83 k on and in d = 3 from 37 k on, with mixed
+# results down to 26 k and 21 k.  Each coordinate adds three passes over a
+# plane, so a plane element counts as d / 3 elements.
 MIN_CHUNK_WORK = 2**15
 
 
 def _step_work(W, sizes, dim: int) -> int:
     """Elements one run's step touches for ensembles of the given sizes:
-    half the n x n x d pair temporary when W's mean_grad sums pairs, else
-    the n x d positions."""
-    return sum(n * n * dim // 2 if W.sums_pairs else n * dim for n in sizes)
+    the n x n plane at a weight of d / 3 when W's mean_grad sums pairs,
+    else the n x d positions."""
+    return sum(n * n * dim // 3 if W.sums_pairs else n * dim for n in sizes)
 
 
 def _chunks(n_runs: int, threads: int, work_per_run: int):

@@ -66,18 +66,21 @@ class Potential:
 
     @property
     def sums_pairs(self) -> bool:
-        """Whether mean_grad sums over all N x M pairs; False for the
-        zero force and for the kinds whose sum expands exactly in the
+        """Whether mean_grad sums over all N x M pairs, one N x M plane of
+        squared distances and weights per tile of the ensemble; False for
+        the zero force and for the kinds whose sum expands exactly in the
         moments of the ensemble."""
         return not (self.kind in (QUADRATIC, ZERO)
                     or (self.kind == POWER_LAW and self.params["p"] in (2.0, 4.0)))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        """Gradient at x, shape (..., d): mean_grad against the one point
-        at the origin, so that every gradient comes from the moment
-        expansion or the pair weight.  Odd in x for every built-in kind."""
+        """Gradient at x, shape (..., d): mean_grad of the points of x, as
+        one ensemble, against the one point at the origin, so that every
+        gradient comes from the moment expansion or the pair weight.  Odd
+        in x for every built-in kind."""
         x = np.asarray(x, dtype=float)
-        return self.mean_grad(x[..., None, :], np.zeros((1, x.shape[-1])))[..., 0, :]
+        d = x.shape[-1]
+        return self.mean_grad(x.reshape(-1, d), np.zeros((1, d))).reshape(x.shape)
 
     def mean_grad(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """(1/M) sum_j grad W(x_i - y_j) for x (..., N, d) and y (..., M, d).
@@ -93,23 +96,15 @@ class Potential:
         kind returns +0.0 without forming pairs.
 
         Every other kind is radial, grad W(z) = g(|z|^2) z, and is summed
-        over pairs in three steps: the differences z = x_i - y_j, one
-        (..., N, M, d) temporary; the scalar field s = |z|^2, turned in
-        place into the weight g(s), one (..., N, M) temporary; and the
-        contraction sum_j g(s_ij) z_ij, which forms no further temporary.
+        over pairs by _pair_mean_grad in (..., N, T) planes, with no
+        (..., N, M, d) array.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if self.kind == ZERO:
             return np.zeros(np.broadcast_shapes(x.shape, y[..., :1, :].shape))
         if self.sums_pairs:
-            # Filled a coordinate at a time, so that each subtraction loops
-            # over the M axis rather than the short d axis.
-            z = np.empty(np.broadcast_shapes(x[..., :, None, :].shape, y[..., None, :, :].shape))
-            for k in range(x.shape[-1]):
-                np.subtract(x[..., :, None, k], y[..., None, :, k], out=z[..., k])
-            w = self._pair_weight(np.einsum("...d,...d->...", z, z))
-            return np.einsum("...nm,...nmd->...nd", w, z) / y.shape[-2]
+            return self._pair_mean_grad(x, y)
         # ybar = y_0 + mean(y - y_0) is never formed: u and v are taken
         # from differences to the sample point y_0, so their rounding
         # scales with the spread of y, not with its offset, and they are
@@ -146,6 +141,43 @@ class Potential:
         out += us
         out -= skew
         out *= 4.0
+        return out
+
+    def _pair_mean_grad(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """mean_grad summed over pairs, M tile by M tile, with x and y
+        centred on y_0.  Each tile of T = pair_tile_width(N, M) points of
+        y builds s = |x_i - y_j|^2 a coordinate at a time into one
+        (..., N, T) plane, turns it into g(s) in place, and adds its share
+        of the contraction sum_j g_ij (x_i - y_j) = x_i sum_j g_ij - (g @ y)_i,
+        both terms from one matmul of g with the rows (y, 1).  The tiles
+        depend on N and M alone, and the matmul treats each leading index
+        alone, so a run's bits do not depend on the runs beside it."""
+        n, m, d = x.shape[-2], y.shape[-2], x.shape[-1]
+        y0 = y[..., :1, :]
+        yc = y - y0
+        xc = yc if x is y else x - y0
+        # Coordinate k of the centred y is row k, so each plane's
+        # subtraction reads it contiguously; row d is all ones.
+        rows = np.ones(y.shape[:-2] + (d + 1, m))
+        rows[..., :d, :] = np.swapaxes(yc, -1, -2)
+        width = pair_tile_width(n, m)
+        s = np.empty(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (n, width))
+        sq = np.empty_like(s) if d > 1 else None
+        acc = np.zeros(s.shape[:-1] + (d + 1,))
+        for j in range(0, m, width):
+            tile = rows[..., j:j + width]
+            plane = s[..., :tile.shape[-1]]
+            np.subtract(xc[..., :1], tile[..., :1, :], out=plane)
+            plane *= plane
+            for k in range(1, d):
+                term = sq[..., :tile.shape[-1]]
+                np.subtract(xc[..., k:k + 1], tile[..., k:k + 1, :], out=term)
+                term *= term
+                plane += term
+            acc += self._pair_weight(plane) @ np.swapaxes(tile, -1, -2)
+        out = xc * acc[..., d:]
+        out -= acc[..., :d]
+        out /= m
         return out
 
     def _pair_weight(self, s: np.ndarray) -> np.ndarray:
@@ -189,18 +221,45 @@ class Potential:
         raise AssertionError(self.kind)
 
 
+# The pair sum's tiles: T = min(M, max(PAIR_TILE_COLUMNS,
+# PAIR_TILE_VALUES // N)) points of y each, so that a run's (N, T) plane
+# holds 2^15 values (256 KiB of float64), or 64 columns when N > 512,
+# whatever M is.
+PAIR_TILE_VALUES = 2**15
+PAIR_TILE_COLUMNS = 64
+
+
+def pair_tile_width(n: int, m: int) -> int:
+    """Points of y per tile of the pair sum of N points against M."""
+    return min(m, max(PAIR_TILE_COLUMNS, PAIR_TILE_VALUES // max(n, 1)))
+
+
 def particle_mean(a: np.ndarray) -> np.ndarray:
-    """Mean over the particle axis -2, kept as an axis of length 1."""
-    mean = a.sum(axis=-2, keepdims=True)
+    """Mean over the particle axis -2, kept as an axis of length 1.  The
+    sum adds the particles in order, as sum(axis=-2) does in d >= 2; in
+    d = 1, where that sum is pairwise, it is sum(axis=-2) itself."""
+    if a.shape[-1] == 1:
+        mean = a.sum(axis=-2, keepdims=True)
+    else:
+        mean = np.einsum("...nd->...d", a)[..., None, :]
     mean /= a.shape[-2]
     return mean
 
 
 def sq_norm(a: np.ndarray) -> np.ndarray:
-    """|a|^2 over the last axis, kept as an axis of length 1.  In d = 1 it
-    is a * a itself, the one term that the sum would return."""
+    """|a|^2 over the last axis, kept as an axis of length 1: the
+    coordinate squares added in order, the bits of np.add.reduce, whose
+    pairwise sum starts at 8 terms.  In d = 1 it is a * a itself."""
     sq = a * a
-    return sq if a.shape[-1] == 1 else np.add.reduce(sq, axis=-1, keepdims=True)
+    d = a.shape[-1]
+    if d == 1:
+        return sq
+    if d >= 8:
+        return np.add.reduce(sq, axis=-1, keepdims=True)
+    out = sq[..., :1] + sq[..., 1:2]
+    for k in range(2, d):
+        out += sq[..., k:k + 1]
+    return out
 
 
 def power_law(p: float, **declared) -> Potential:

@@ -25,7 +25,8 @@ from gmsim.dynamics import (
     step_batch,
 )
 from gmsim.experiments import coupled_batch, run_streams, simulate_batch
-from gmsim.potentials import power_law, quadratic, uniform_plus_bump, zero
+from gmsim import potentials
+from gmsim.potentials import pair_tile_width, power_law, quadratic, uniform_plus_bump, zero
 from gmsim.rng import BrownianSource
 
 from conftest import make_config
@@ -202,7 +203,8 @@ def test_mean_grad_quartic_against_two_points_closed_form():
     np.testing.assert_array_equal(drift(x, V, W), drift(x, V, W, x))
 
 
-PAIR_KINDS = (uniform_plus_bump(0.5, 2.0, 1.5), power_law(3.0), power_law(6.0))
+PAIR_KINDS = (uniform_plus_bump(0.5, 2.0, 1.5), power_law(3.0), power_law(5.0),
+              power_law(6.0))
 
 
 @given(
@@ -214,11 +216,15 @@ PAIR_KINDS = (uniform_plus_bump(0.5, 2.0, 1.5), power_law(3.0), power_law(6.0))
     m=st.integers(1, 9),
     offset=st.floats(-1e3, 1e3),
     spread=st.floats(1e-3, 10.0),
+    columns=st.sampled_from([None, 1, 2, 4]),
 )
-@settings(max_examples=80, deadline=None)
-def test_mean_grad_pair_path_matches_double_loop(seed, kind, d, batch, n, m, offset, spread):
+@settings(max_examples=100, deadline=None)
+def test_mean_grad_pair_path_matches_double_loop(seed, kind, d, batch, n, m, offset, spread,
+                                                 columns):
     # Spreads on both sides of the bump radius put pairs inside and
     # outside it; the oracle sums the closed-form gradient pair by pair.
+    # A narrow tile width makes the sum run over several tiles of y, the
+    # last of them partial.
     W = PAIR_KINDS[kind]
     assert W.sums_pairs
     gen = np.random.default_rng(seed)
@@ -231,7 +237,23 @@ def test_mean_grad_pair_path_matches_double_loop(seed, kind, d, batch, n, m, off
         for xi in x[idx]:
             for yj in y[idx]:
                 largest = max(largest, float(np.max(np.abs(closed_form_grad(W, xi - yj)))))
-    np.testing.assert_allclose(W.mean_grad(x, y), want, rtol=0, atol=1e-12 * largest)
+    with pytest.MonkeyPatch.context() as mp:
+        if columns is not None:
+            mp.setattr(potentials, "PAIR_TILE_VALUES", 1)
+            mp.setattr(potentials, "PAIR_TILE_COLUMNS", columns)
+            assert pair_tile_width(n, m) == min(m, columns)
+        got = W.mean_grad(x, y)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * largest)
+
+
+def test_pair_tile_width_depends_on_n_and_m_alone():
+    # A run's (N, T) plane holds 2^15 values, or 64 columns past N = 512,
+    # and one tile spans all of a smaller M.
+    assert pair_tile_width(16, 16) == 16
+    assert pair_tile_width(64, 4096) == 512
+    assert pair_tile_width(512, 4096) == 64
+    assert pair_tile_width(4096, 4096) == 64
+    assert pair_tile_width(1, 40000) == 2**15
 
 
 def test_mean_grad_bump_two_particles_closed_form():
@@ -258,18 +280,43 @@ def test_mean_grad_pair_forces_sum_to_zero(rng, W):
     np.testing.assert_allclose(g.sum(axis=-2), np.zeros((3, 3)), rtol=0, atol=1e-13 * scale)
 
 
-def test_mean_grad_bump_peak_memory():
-    # One runs x N x N x d difference temporary plus a runs x N x N weight
-    # field; summing W.grad per pair held about 3.7 of those temporaries.
-    x = np.random.default_rng(0).normal(size=(4, 512, 3))
-    W = uniform_plus_bump(1.0, 2.0, 1.5)
+def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
-        W.mean_grad(x, x)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * (4 * 512 * 512 * 3 * 8)
+
+
+def _pair_bound(runs, n, m, d):
+    """Two (runs, N, T) float64 planes, plus four arrays of runs x (N + M)
+    x (d + 1) values for the centred points, the rows (y, 1), the
+    contraction and the result: no runs x N x M x d term."""
+    return 8 * (2 * runs * n * pair_tile_width(n, m) + 4 * runs * (n + m) * (d + 1))
+
+
+def test_mean_grad_bump_peak_memory():
+    # M = 512 in eight tiles of 64; the N x N x d differences alone would
+    # take 25 MB.
+    x = np.random.default_rng(0).normal(size=(4, 512, 3))
+    W = uniform_plus_bump(1.0, 2.0, 1.5)
+    assert _peak_bytes(W.mean_grad, x, x) < _pair_bound(4, 512, 512, 3)
+    assert _pair_bound(4, 512, 512, 3) < (4 * 512 * 512 * 3 * 8) // 8
+
+
+def test_mean_grad_pair_peak_memory_does_not_grow_with_the_tile_count():
+    # 16 and 128 tiles of 64 points: the planes are the same, and only the
+    # copies of y, a few times y's own size, grow with M.
+    W = uniform_plus_bump(1.0, 2.0, 1.5)
+    gen = np.random.default_rng(0)
+    x = gen.normal(size=(2, 512, 3))
+    peaks = []
+    for m in (1024, 8192):
+        y = gen.normal(size=(2, m, 3))
+        peaks.append(_peak_bytes(W.mean_grad, x, y))
+        assert peaks[-1] < _pair_bound(2, 512, m, 3)
+    assert peaks[1] - peaks[0] < 3 * 8 * 2 * (8192 - 1024) * 3
 
 
 def test_mean_grad_zero_forms_no_pairs():

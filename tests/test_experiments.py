@@ -104,11 +104,18 @@ BUMP_W = Potential("uniform_plus_bump", {"kappa": 1.0, "amplitude": 0.7, "radius
 
 def test_chunks_follow_the_work():
     # The moment path touches n x d elements per ensemble, the pairwise
-    # path its n x n x d pair temporary at half weight; a zero force forms
-    # no pairs.
+    # path its n x n plane at a weight of d / 3; a zero force forms no
+    # pairs.
     assert _step_work(QUARTIC_W, [64], 3) == 64 * 3
     assert _step_work(zero(), [64], 3) == 64 * 3
-    assert _step_work(BUMP_W, [64], 3) == 64 * 64 * 3 // 2
+    assert _step_work(BUMP_W, [64], 3) == 64 * 64
+    assert _step_work(BUMP_W, [64], 1) == 64 * 64 // 3
+    # 8 bump runs on 2 threads split when a chunk of 4 holds 2^15 elements:
+    # in d = 3 from N = 91 on, in d = 1 from N = 157 on.
+    assert len(_chunks(8, 2, _step_work(BUMP_W, [90], 3))) == 1
+    assert len(_chunks(8, 2, _step_work(BUMP_W, [91], 3))) == 2
+    assert len(_chunks(8, 2, _step_work(BUMP_W, [156], 1))) == 1
+    assert len(_chunks(8, 2, _step_work(BUMP_W, [157], 1))) == 2
     # The benchmark's chaos-scan: N in {8, 16, 32, 64}, M = 512, d = 1,
     # 8 runs on 2 threads, too little work per chunk to pool.
     small = _step_work(QUARTIC_W, [512, 256, 8, 16, 32, 64], 1)
@@ -144,15 +151,21 @@ def test_pooled_chunks_give_identical_runs(monkeypatch):
         initial_law_b={"kind": "gaussian", "mean": 1.0, "sigma": 0.5},
         experiment={"horizon": 0.2, "obs_times": "0.0,0.1,0.2", "runs": 8},
     )
-    bump = make_config(
-        potential_W={"kind": "uniform_plus_bump", "kappa": 1.0, "amplitude": 0.7,
-                     "radius": 2.0, "m": 2, "p": None, "A": None, "alpha": None},
-        dynamics={"n": 8, "dim": 2, "dt": 0.02},
-        experiment={"horizon": 0.2, "obs_times": "0.0,0.1,0.2", "runs": 8},
-    )
+
+    def bump(n, dim):
+        return make_config(
+            potential_W={"kind": "uniform_plus_bump", "kappa": 1.0, "amplitude": 0.7,
+                         "radius": 2.0, "m": 2, "p": None, "A": None, "alpha": None},
+            dynamics={"n": n, "dim": dim, "dt": 0.02},
+            experiment={"horizon": 0.2, "obs_times": "0.0,0.1,0.2", "runs": 8},
+        )
+
+    # The pair sum contracts through a matmul, which BLAS runs per run.
+    pairwise = {f"simulate pairwise n={n} d={dim}": bump(n, dim)
+                for n, dim in ((8, 1), (33, 1), (8, 2), (8, 3), (33, 3))}
     runs = {
         "simulate": lambda t: simulate_batch(cfg, threads=t)[1],
-        "simulate pairwise": lambda t: simulate_batch(bump, threads=t)[1],
+        **{name: lambda t, c=c: simulate_batch(c, threads=t)[1] for name, c in pairwise.items()},
         "coupled": lambda t: coupled_batch(cfg, threads=t)[1],
         "chaos": lambda t: vars(chaos_scan(cfg, [4, 8], 64, 8, threads=t)),
     }
@@ -256,8 +269,8 @@ def test_each_harness_draws_from_its_runs_role_streams(monkeypatch, threads):
 
 
 def test_natural_chunk_split_gives_identical_runs(monkeypatch):
-    # Sizes at which _chunks splits 2 ways on its own: 64 x 64 x 2 bump pair
-    # temporaries, 16 runs, and M = 16384 auxiliary particles, 4 runs.
+    # Sizes at which _chunks splits 2 ways on its own: 64 x 64 bump planes
+    # in d = 3, 16 runs, and M = 16384 auxiliary particles, 4 runs.
     map_chunks, seen = experiments._map_chunks, []
 
     def spy(fn, chunks, threads):
@@ -268,7 +281,7 @@ def test_natural_chunk_split_gives_identical_runs(monkeypatch):
     bump = make_config(
         potential_W={"kind": "uniform_plus_bump", "kappa": 1.0, "amplitude": 0.7,
                      "radius": 2.0, "m": 2, "p": None, "A": None, "alpha": None},
-        dynamics={"n": 64, "dim": 2, "dt": 0.02},
+        dynamics={"n": 64, "dim": 3, "dt": 0.02},
         initial_law_b={"kind": "gaussian", "mean": 1.0, "sigma": 0.5},
         experiment={"horizon": 0.1, "obs_times": "0.0,0.06,0.1", "runs": 16},
     )

@@ -33,11 +33,12 @@ def test_seed_list_runs_every_seed_and_checks_each_config_once(monkeypatch, caps
     runs = [(a[a.index("--seed") + 1], a[a.index("--threads") + 1])
             for a in seen if a[0] != "check-potential"]
     # 7 per config, seed and thread count, plus simulate --positions on the
-    # d = 2 and the n = 5 copies of simulate_small.cfg
-    assert len(runs) == n_configs * 4 * 7 + 8
+    # d = 2 and the n = 5 copies of simulate_small.cfg and on the d = 1 copy
+    # of bump3d_decay.cfg
+    assert len(runs) == n_configs * 4 * 7 + 12
     assert set(runs) == {("3", "1"), ("3", "2"), ("11", "1"), ("11", "2")}
     assert capsys.readouterr().out.splitlines()[-1] == (
-        f"# {n_configs * 29 + 8} invocations; exit 0: {n_configs * 29 + 8}")
+        f"# {n_configs * 29 + 12} invocations; exit 0: {n_configs * 29 + 12}")
 
 
 def test_simulate_positions_also_runs_on_a_d2_copy_of_the_quartic_smoke_config():
@@ -72,6 +73,25 @@ def test_simulate_positions_also_runs_on_an_n5_copy_whose_blocks_end_in_a_partia
     shipped = parse_config((ROOT / "configs/simulate_small.cfg").read_text())
     assert (cfg.n * cfg.dim, shipped.n) == (5, 16)
     assert replace(cfg, n=16) == shipped
+    code, lines = output_digests.digest(ROOT, cmds[-1])
+    assert code == 0 and lines[0] == " ".join(cmds[-1]) + ": exit 0"
+    files = [line.split()[0] for line in lines[3:]]
+    assert {f.rsplit(".", 1)[1] for f in files} == {"csv", "jsonl", "bin"}
+
+
+def test_simulate_positions_also_runs_on_a_d1_copy_of_the_bump_config():
+    # the bump W sums pairs; no shipped config does so in d = 1
+    name = "configs/bump3d_decay.d1.cfg"
+    assert not (ROOT / name).exists()
+    cmds = list(output_digests.invocations(["configs/bump3d_decay.cfg"], [3], [1, 2]))
+    assert len(cmds) == 1 + 2 * 7 + 2
+    assert cmds[-2:] == [["simulate", "--config", name, "--seed", "3", "--threads", t,
+                          "--positions"] for t in ("1", "2")]
+    cfg = parse_config(output_digests.config_text(ROOT, name))
+    shipped = parse_config((ROOT / "configs/bump3d_decay.cfg").read_text())
+    assert (cfg.dim, shipped.dim) == (1, 3)
+    assert replace(cfg, dim=3) == shipped
+    assert cfg.potential_W.sums_pairs
     code, lines = output_digests.digest(ROOT, cmds[-1])
     assert code == 0 and lines[0] == " ".join(cmds[-1]) + ": exit 0"
     files = [line.split()[0] for line in lines[3:]]

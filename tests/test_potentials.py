@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import qmc
 
 from gmsim.potentials import (
@@ -16,8 +16,10 @@ from gmsim.potentials import (
     check_convexity_at_infinity,
     check_polynomial_growth,
     check_declared,
+    particle_mean,
     power_law,
     quadratic,
+    sq_norm,
     uniform_plus_bump,
     zero,
 )
@@ -61,6 +63,34 @@ def test_gradient_oddness_exact(x):
     for pot in (quadratic(1.5), power_law(4.0), power_law(2.5),
                 uniform_plus_bump(1.0, 2.0, 3.0)):
         np.testing.assert_array_equal(pot.grad(-x), -pot.grad(x))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 4),
+    n=st.integers(1, 400),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    specials=st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]), max_size=3),
+    share=st.floats(0.0, 1.0),
+)
+@settings(max_examples=120, deadline=None)
+@example(seed=0, d=3, n=16, batch=[64], specials=[-0.0], share=1.0)
+@example(seed=1, d=2, n=100, batch=[4], specials=[np.inf, -np.inf, np.nan], share=0.05)
+def test_particle_sums_keep_the_bits_of_numpy_reductions(seed, d, n, batch, specials, share):
+    # numpy's own reductions are the oracle, to the bit: sum over the
+    # particle axis for the mean, add.reduce over the coordinates for the
+    # squared norm; signed zeros and non-finite entries included.
+    gen = np.random.default_rng(seed)
+    shape = (*batch, n, d)
+    a = gen.normal(size=shape) * 10.0 ** gen.integers(-3, 4, size=shape)
+    for value in specials:
+        a[gen.random(shape) < share / len(specials)] = value
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = (a.sum(axis=-2, keepdims=True) / n, np.add.reduce(a * a, axis=-1, keepdims=True))
+        got = (particle_mean(a), sq_norm(a))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
 
 
 def test_power_law_exponent_below_two_rejected():

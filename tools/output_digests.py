@@ -6,9 +6,10 @@ simulate (with and without --positions) and the five experiments at each
 given seed and thread count.  simulate runs on a copy of the config whose
 `[output] formats` is every format, so that each config's JSONL and `.bin`
 files are digested too.  No shipped config runs the quartic moment path in
-d > 1, or draws blocks of n d values that end in a partial Philox block of
-four words, so simulate --positions also runs on copies of
-simulate_small.cfg with `[dynamics] dim = 2` and with `n = 5` (COPIES).
+d > 1, draws blocks of n d values that end in a partial Philox block of
+four words, or sums pairs in d = 1, so simulate --positions also runs on
+copies of simulate_small.cfg with `[dynamics] dim = 2` and with `n = 5`,
+and of bump3d_decay.cfg with `dim = 1` (COPIES).
 Each invocation writes into a fresh --out directory, and prints one block:
 the command line, the exit code and the sha256 of stdout, of stderr and of
 every file written.  The output directory's path is replaced by `OUT` in
@@ -43,7 +44,8 @@ ALL_FORMATS = "csv,jsonl,bin"
 # config they copy, the [dynamics] key they set, its value).  simulate
 # --positions runs on each.
 COPIES = {"configs/simulate_small.d2.cfg": ("configs/simulate_small.cfg", "dim", 2),
-          "configs/simulate_small.n5.cfg": ("configs/simulate_small.cfg", "n", 5)}
+          "configs/simulate_small.n5.cfg": ("configs/simulate_small.cfg", "n", 5),
+          "configs/bump3d_decay.d1.cfg": ("configs/bump3d_decay.cfg", "dim", 1)}
 
 
 def invocations(configs, seeds, threads):
