@@ -104,10 +104,8 @@ def _cmd_simulate(args) -> int:
         gio.write_snapshot_jsonl(base + ".jsonl", times, pos, args.positions)
     if "csv" in cfg.output_formats:
         with np.errstate(over="ignore"):  # an overflowing square is written as inf
-            rows = [
-                (float(t), float(np.mean(np.sum(pos[ti] ** 2, axis=-1))), "", "simulate", "")
-                for ti, t in enumerate(times)
-            ]
+            second = np.mean(np.sum(pos ** 2, axis=-1), axis=(1, 2))
+        rows = [(float(t), float(m), "", "simulate", "") for t, m in zip(times, second)]
         gio.write_series_csv(base + ".csv", ("time", "value", "stderr", "method", "p"), rows)
     if "bin" in cfg.output_formats:
         for r in range(pos.shape[1]):

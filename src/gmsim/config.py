@@ -203,9 +203,12 @@ def _build_kinded(cls, sec: dict, errors: list, where: str, dim: int = 1):
     return cls()
 
 
-def _observation_times(exp: dict, horizon: float, dt: float, errors: list):
+def _observation_times(exp: dict, horizon: float, dt: float, errors: list, grid_known: bool):
     """The observation times, from obs_times or from obs_stride and
-    obs_count; None, with the error reported, when they cannot be formed."""
+    obs_count; None, with the error reported, when they cannot be formed.
+    A stride or count that asks for more times than the dt grid holds in
+    [0, horizon] is refused before any array is built, reported only when
+    grid_known (else the horizon or dt stood in for has its own error)."""
     if "obs_times" in exp:
         both = [k for k in ("obs_stride", "obs_count") if k in exp]
         if both:
@@ -215,7 +218,17 @@ def _observation_times(exp: dict, horizon: float, dt: float, errors: list):
     if stride <= 0:
         errors.append("[experiment] obs_stride must be > 0")
         return None
-    count = _number(exp, "obs_count", int(round(horizon / stride)) + 1, errors, "experiment", int)
+    span = horizon / stride  # inf when a subnormal stride overflows it
+    count = (_number(exp, "obs_count", 1, errors, "experiment", int) if "obs_count" in exp
+             else round(span) + 1 if math.isfinite(span) else math.inf)
+    grid = (max(horizon, 0.0) + 1e-9) / dt + 1e-9 + 1.0  # with the slack of observation_steps
+    if count > grid:
+        if not grid_known:
+            return None
+        what = f"obs_count = {count}" if "obs_count" in exp else f"obs_stride = {stride!r}"
+        errors.append(f"[experiment] {what} asks for more observation times than the "
+                      f"{math.floor(grid)} the dt = {dt!r} step grid holds in [0, horizon]")
+        return None
     return tuple(float(t) for t in np.round(np.arange(count) * stride, 12))
 
 
@@ -225,9 +238,10 @@ def observation_time_errors(times, horizon: float, dt: float | None) -> list:
     dynamics.observation_steps, which would report the state of an earlier
     step under the requested time."""
     errors = []
-    if any(t < 0 or t > horizon + 1e-9 for t in times):
+    inside = [t for t in times if 0 <= t <= horizon + 1e-9]  # NaN and inf fail too
+    if len(inside) < len(times):
         errors.append("observation times must lie in [0, horizon]")
-    off = [t for t in times if abs(t / dt - round(t / dt)) > 1e-9] if dt else []
+    off = [t for t in inside if abs(t / dt - round(t / dt)) > 1e-9] if dt else []
     if off:
         k = off[0] / dt
         more = f"; {len(off) - 1} more times are off the grid" if len(off) > 1 else ""
@@ -280,7 +294,7 @@ def parse_config(text: str) -> SimConfig:
     horizon_ok = len(errors) == reported  # else reported as not a finite number
     if horizon <= 0:
         errors.append("[experiment] horizon must be > 0")
-    obs = _observation_times(exp, horizon, policy.dt, errors)
+    obs = _observation_times(exp, horizon, policy.dt, errors, horizon_ok and policy_ok)
     if obs is not None:
         if not obs:
             errors.append("[experiment] at least one observation time is required")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import Potential, particle_mean, sq_norm
+from .potentials import Potential, particle_mean, row_params, sq_norm
 from .rng import INIT_STEP, BrownianSource
 
 EULER = "euler"
@@ -55,7 +55,8 @@ class InitialLaw:
     """Initial distribution for the particle positions.
 
     kind, a key of LAW_PARAMS (gaussian by default, the standard normal),
-    selects the law; params holds the parameters LAW_PARAMS lists for it.
+    selects the law; params holds the parameters LAW_PARAMS lists for it,
+    defaults filled in (an unread key is refused).
     sample draws one ensemble (n, dim) for one stream, or a batch
     (runs, n, dim) for a list of streams in one call on the source, row r
     bit-identical to the draw of streams[r] alone.  Projected runs recentre
@@ -63,11 +64,11 @@ class InitialLaw:
     """
 
     kind: str = "gaussian"
-    params: dict = field(default_factory=LAW_PARAMS["gaussian"].copy)
+    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in LAW_PARAMS:
-            raise ValueError(f"unknown initial law kind {self.kind!r}")
+        object.__setattr__(self, "params",
+                           row_params(LAW_PARAMS, self.kind, self.params, "initial law"))
         for key, value in self.params.items():
             if key == "weight" and not 0.0 <= value <= 1.0:
                 raise ValueError(f"weight must be in [0, 1], got {value!r}")

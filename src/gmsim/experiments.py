@@ -4,6 +4,8 @@ tracking, the exponential square-moment benchmark, and the
 concentration/deviation suite.
 
 Each harness returns its series, fitted constants and pass/fail flags;
+the decay, chaos-scan and concentration results are records
+(SimpleNamespace) whose fields are named where they are built.
 write_experiment_outputs writes them as a JSON summary plus a CSV series
 named `<experiment>-<confighash>`.
 """
@@ -12,7 +14,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import stdtrit
@@ -219,26 +222,7 @@ def coupled_batch(config: SimConfig, threads: int = 1):
 # ---------------------------------------------------------------------------
 # coupled-decay experiments
 
-@dataclass
-class DecayResult:
-    times: np.ndarray
-    xi: np.ndarray
-    xi_stderr: np.ndarray
-    A_alpha: float
-    B_alpha: float
-    t1_bound: float
-    t1_empirical: float | None
-    tail_slope: float
-    exp_rate: float
-    monotonicity_defect: float
-    envelope_ok: bool
-    first_violation_time: float | None
-    runs: int
-    flags: dict
-    fit_windows: dict = field(default_factory=dict)
-
-
-def decay_experiment(config: SimConfig, threads: int = 1) -> DecayResult:
+def decay_experiment(config: SimConfig, threads: int = 1):
     """Average coupled squared distance xi(t) over runs against the decay
     envelopes implied by the declared degenerate-convexity constants.  The
     exponential rate is fitted on the whole series above 1e-10 xi(0) when
@@ -281,7 +265,7 @@ def decay_experiment(config: SimConfig, threads: int = 1) -> DecayResult:
         env_ok = True
         first_bad = None
     monotone = defect <= 3.0 * float(np.max(se)) + 5.0 * config.step_policy.dt
-    return DecayResult(
+    return SimpleNamespace(
         times=times,
         xi=xi,
         xi_stderr=se,
@@ -303,7 +287,7 @@ def decay_experiment(config: SimConfig, threads: int = 1) -> DecayResult:
     )
 
 
-def uniform_convex_decay(config: SimConfig, threads: int = 1) -> DecayResult:
+def uniform_convex_decay(config: SimConfig, threads: int = 1):
     """Decay experiment for the uniformly convex case C(A, 0), whose
     squared distances decay at the rate 2A."""
     if config.potential_W.declared_alpha != 0.0:
@@ -313,22 +297,6 @@ def uniform_convex_decay(config: SimConfig, threads: int = 1) -> DecayResult:
 
 # ---------------------------------------------------------------------------
 # propagation-of-chaos scan
-
-@dataclass
-class ChaosScanResult:
-    N_values: list
-    errors: list
-    stderrs: list
-    worst_times: list
-    fitted_slope: float
-    predicted_slope: float
-    K_fitted: float
-    M_reference: int
-    runs_per_N: int
-    proxy_bias_warning: bool
-    proxy_bias_ratio: float
-    flags: dict
-
 
 def _chaos_walk(config, source, chunk, N_values, M_reference, obs):
     """Run errors |Y^1_t - Xbar^1_t|^2, (len(N_values) + 1, n_obs, runs), of
@@ -384,7 +352,7 @@ def chaos_scan(
     M_reference: int,
     runs_per_N: int,
     threads: int = 1,
-) -> ChaosScanResult:
+):
     """Couple a tagged particle of the projected N-system with a proxy of
     the nonlinear flow driven by the same increments; the mean-field drift
     of the proxy is read off an independent auxiliary ensemble of size
@@ -424,7 +392,7 @@ def chaos_scan(
     slope, intercept = np.polyfit(logn, loge, 1)
     slope, predicted = float(slope), -1.0 / (1.0 + alpha)
     ses, bias_warning = np.asarray(stderrs), bias_ratio >= 0.2
-    return ChaosScanResult(
+    return SimpleNamespace(
         N_values=list(N_values),
         errors=errors,
         stderrs=stderrs,
@@ -529,22 +497,6 @@ LIPSCHITZ_FUNCTIONS = {
 }
 
 
-@dataclass
-class ConcentrationResult:
-    n: int
-    r_grid: np.ndarray
-    empirical_tail: np.ndarray
-    bound: np.ndarray
-    c_fitted: float
-    c_pipeline: float
-    c_fitted_over_pipeline: float
-    lipschitz_f: str
-    unreliable: np.ndarray
-    trials: int
-    T: float
-    flags: dict
-
-
 def pipeline_t1_constant(config: SimConfig) -> float:
     """Per-particle T_1 constant derived from the declared convexity-at-
     infinity constants (lambda, C) of potential_W and the exponential
@@ -566,7 +518,7 @@ def concentration_suite(
     T: float | None = None,
     trials: int = 400,
     threads: int = 1,
-) -> ConcentrationResult:
+):
     """Tail of the deviation of the particle average of a 1-Lipschitz
     observable against the a-priori Gaussian bound exp(-N r^2 / c_pipeline)
     of the T1 route (Djellout, Guillin and Wu 2004).  c_fitted, the
@@ -602,7 +554,7 @@ def concentration_suite(
     else:
         c_fitted = float("nan")
     bound = np.exp(-cfg.n * r_grid**2 / c_pipeline)
-    return ConcentrationResult(
+    return SimpleNamespace(
         n=cfg.n,
         r_grid=r_grid,
         empirical_tail=tail,

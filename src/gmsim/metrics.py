@@ -8,6 +8,7 @@ quantile coupling, and an optimal assignment for small samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,14 +25,6 @@ class MomentSeries:
     def __post_init__(self):
         if not (len(self.times) == len(self.values) == len(self.stderr)):
             raise ValueError("times, values and stderr must have equal length")
-
-
-@dataclass
-class DistanceEstimate:
-    method: str  # exact-1d | assignment-exact
-    p: int
-    value: float
-    samples_per_side: int
 
 
 def _mc_mean(per_run: np.ndarray):
@@ -63,7 +56,7 @@ def _as_points(samples) -> np.ndarray:
     return a
 
 
-def wasserstein_1d(samples_a, samples_b, p: int = 2) -> DistanceEstimate:
+def wasserstein_1d(samples_a, samples_b, p: int = 2):
     """Quantile-coupling W_p between equal-size one-dimensional samples."""
     a = _as_points(samples_a)
     b = _as_points(samples_b)
@@ -74,10 +67,10 @@ def wasserstein_1d(samples_a, samples_b, p: int = 2) -> DistanceEstimate:
     av = np.sort(a[:, 0])
     bv = np.sort(b[:, 0])
     value = float(np.mean(np.abs(av - bv) ** p) ** (1.0 / p))
-    return DistanceEstimate("exact-1d", p, value, av.size)
+    return SimpleNamespace(method="exact-1d", p=p, value=value, samples_per_side=av.size)
 
 
-def assignment_exact(samples_a, samples_b, p: int = 2) -> DistanceEstimate:
+def assignment_exact(samples_a, samples_b, p: int = 2):
     """Exact optimal-transport distance between equal-weight empirical
     measures via minimum-cost perfect matching (count capped)."""
     a = _as_points(samples_a)
@@ -91,21 +84,11 @@ def assignment_exact(samples_a, samples_b, p: int = 2) -> DistanceEstimate:
     cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1) ** p
     rows, cols = linear_sum_assignment(cost)
     value = float((cost[rows, cols].mean()) ** (1.0 / p))
-    return DistanceEstimate("assignment-exact", p, value, a.shape[0])
+    return SimpleNamespace(method="assignment-exact", p=p, value=value,
+                           samples_per_side=a.shape[0])
 
 
-@dataclass
-class ExpSquareMomentSeries:
-    times: list
-    delta: float
-    values: list
-    stderr: list
-    heavy_tail_flags: list  # True when the max sample dominates the mean
-
-
-def exp_square_moment(
-    sq_distances: np.ndarray, delta: float, times
-) -> ExpSquareMomentSeries:
+def exp_square_moment(sq_distances: np.ndarray, delta: float, times):
     """MC estimate of E exp(delta |X_t - Y_t|^2) from squared distances of
     independent coupled copies, shape (n_times, runs).
 
@@ -118,9 +101,9 @@ def exp_square_moment(
     w = np.exp(delta * z)
     vals, ses = _mc_mean(w.T)
     flags = (w.max(axis=1) / np.maximum(w.sum(axis=1), 1e-300)) > 0.5
-    return ExpSquareMomentSeries(
-        list(times), float(delta), [float(v) for v in vals], [float(s) for s in ses],
-        [bool(f) for f in flags],
+    return SimpleNamespace(
+        times=list(times), delta=float(delta), values=[float(v) for v in vals],
+        stderr=[float(s) for s in ses], heavy_tail_flags=[bool(f) for f in flags],
     )
 
 

@@ -28,12 +28,29 @@ KIND_PARAMS = {
 }
 
 
+def row_params(table: dict, kind: str, params: dict, model: str) -> dict:
+    """params checked against kind's row of table (KIND_PARAMS or
+    LAW_PARAMS): the row's keys in row order, each with its given value or
+    the row's default.  ValueError for an unknown kind, and one naming each
+    required key not given and each key the row does not list."""
+    if kind not in table:
+        raise ValueError(f"unknown {model} kind {kind!r}")
+    row = table[kind]
+    wrong = ([f"kind {kind!r} missing parameter {key!r}"
+              for key, default in row.items() if key not in params and default is None]
+             + [f"kind {kind!r} does not read {key!r}" for key in params if key not in row])
+    if wrong:
+        raise ValueError("; ".join(wrong))
+    return {key: params.get(key, default) for key, default in row.items()}
+
+
 @dataclass(frozen=True)
 class Potential:
     """Radially symmetric potential with an analytic gradient.
 
     kind, a key of KIND_PARAMS (zero by default), selects the functional
-    form; params holds the parameters KIND_PARAMS lists for it.  The later
+    form; params holds the parameters KIND_PARAMS lists for it, defaults
+    filled in (a missing required or an unread key is refused).  The later
     fields carry the constants asserted for the structural conditions, never
     inferred: checkers verify them, and the zero potential, meeting none, declares none.
     """
@@ -47,8 +64,8 @@ class Potential:
     declared_alpha: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KIND_PARAMS:
-            raise ValueError(f"unknown potential kind {self.kind!r}")
+        object.__setattr__(self, "params",
+                           row_params(KIND_PARAMS, self.kind, self.params, "potential"))
         if self.kind == POWER_LAW and self.params["p"] < 2:
             raise ValueError("power_law exponent must be >= 2")
         if self.kind == QUADRATIC and self.params["kappa"] <= 0:

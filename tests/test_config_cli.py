@@ -5,8 +5,10 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from gmsim.config import (
 )
 from gmsim.dynamics import LAW_PARAMS, observation_steps
 from gmsim.experiments import PARTNER_STREAM, run_streams
-from gmsim.metrics import ExpSquareMomentSeries, MomentSeries
+from gmsim.metrics import MomentSeries
 from gmsim.rng import BrownianSource
 
 from conftest import config_text, make_config
@@ -206,6 +208,41 @@ def test_bad_initial_law_fields_are_rejected_at_load(section, law, error):
     with pytest.raises(ConfigError) as exc:
         make_config(dynamics={"dim": 2}, experiment={"runs": 0}, **{section: law})
     assert exc.value.errors == ["[experiment] runs must be >= 1", error]
+
+
+@pytest.mark.parametrize("experiment", [
+    {"obs_count": 1000000000000},
+    {"obs_stride": 1e-12},  # with the default count of horizon / stride + 1
+    {"obs_stride": 5e-324},  # horizon / stride overflows
+])
+def test_an_observation_grid_finer_than_the_step_grid_is_refused_at_load(tmp_path, capsys,
+                                                                          experiment):
+    # The refusal comes before any array of times is built.
+    path = write_cfg(tmp_path, experiment={"obs_times": None, **experiment})
+    tracemalloc.start()
+    try:
+        code = run_cli(["simulate", "--config", path, "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("config error: [experiment] obs_") and err.count("\n") == 1
+    assert "more observation times than the 101 the dt = 0.01 step grid holds" in err
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("dynamics, experiment, error", [
+    ({"scheme": "tamd"}, {}, "[dynamics] unknown scheme 'tamd'"),
+    ({}, {"horizon": "long"}, "[experiment] horizon must be a number, got 'long'"),
+])
+def test_a_refused_grid_adds_no_grid_error(dynamics, experiment, error):
+    # The fallback dt = 0.01 or horizon = 1.0 does not refuse a stride the
+    # config's own dt = 0.001 grid holds.
+    with pytest.raises(ConfigError) as exc:
+        make_config(dynamics={"dt": 0.001, **dynamics},
+                    experiment={"obs_times": None, "obs_stride": 0.001, **experiment})
+    assert exc.value.errors == [error]
 
 
 def test_obs_stride_generates_grid():
@@ -619,9 +656,13 @@ def test_cli_simulate_writes_outputs(tmp_path, capsys):
     )
     assert run_cli(["simulate", "--config", path, "--seed", "5"]) == EXIT_OK
     base = capsys.readouterr().out.strip()
-    assert os.path.exists(base + ".csv")
     assert os.path.exists(base + ".jsonl")
     assert os.path.exists(base + "-run0.bin")
+    # each CSV value is the mean square over runs and particles, time by time
+    times, pos = experiments.simulate_batch(replace(parse_config(Path(path).read_text()), seed=5))
+    rows = Path(base + ".csv").read_text().splitlines()
+    second = [float(np.mean(np.sum(pos[i] ** 2, axis=-1))) for i in range(len(times))]
+    assert rows[1:] == [f"{float(t)!r},{m!r},,simulate," for t, m in zip(times, second)]
 
 
 def test_cli_simulate_thread_count_invariance(tmp_path, capsys):
@@ -812,19 +853,19 @@ def _one_failing_flag(command):
     pair, tail = np.array([0.0, 1.0]), np.array([0.2, 0.1])
     if command == "decay":
         flags = {"monotone": True, "envelope_ok": False}
-        return "decay_experiment", experiments.DecayResult(
+        return "decay_experiment", SimpleNamespace(
             times=pair, xi=tail, xi_stderr=tail / 10, A_alpha=1.0, B_alpha=0.5, t1_bound=0.0,
             t1_empirical=0.0, tail_slope=-1.0, exp_rate=1.0, monotonicity_defect=0.0,
             envelope_ok=False, first_violation_time=1.0, runs=2, flags=flags), flags
     if command == "chaos-scan":
         flags = {"errors_decreasing": True, "slope_fast_enough": True, "proxy_bias_ok": False}
-        return "chaos_scan", experiments.ChaosScanResult(
+        return "chaos_scan", SimpleNamespace(
             N_values=[8, 16], errors=[0.2, 0.1], stderrs=[0.01, 0.01], worst_times=[0.0, 0.0],
             fitted_slope=-1.0, predicted_slope=-1.0 / 3.0, K_fitted=1.0, M_reference=512,
             runs_per_N=32, proxy_bias_warning=True, proxy_bias_ratio=0.5, flags=flags), flags
     if command == "concentration":
         flags = {"bound_holds": False}
-        return "concentration_suite", experiments.ConcentrationResult(
+        return "concentration_suite", SimpleNamespace(
             n=8, r_grid=pair + 0.5, empirical_tail=tail, bound=tail / 2, c_fitted=1.0,
             c_pipeline=0.5, c_fitted_over_pipeline=2.0, lipschitz_f="coordinate",
             unreliable=np.array([False, False]), trials=400, T=1.0, flags=flags), flags
@@ -834,8 +875,8 @@ def _one_failing_flag(command):
                               stderr=[0.1, 0.1])
         return "uniform_moment_experiment", (series, {"accepted": False, "flags": flags}), flags
     flags = {"closed_form_ok": True, "below_bound": False}
-    series = ExpSquareMomentSeries(times=[0.5, 1.0], delta=0.1, values=[1.2, 1.3],
-                                   stderr=[0.01, 0.01], heavy_tail_flags=[False, False])
+    series = SimpleNamespace(times=[0.5, 1.0], delta=0.1, values=[1.2, 1.3],
+                             stderr=[0.01, 0.01], heavy_tail_flags=[False, False])
     info = {"closed_form": np.array([1.2, 1.3]), "bound": 1.25, "flags": flags}
     return "exp_square_moment_experiment", (series, info), flags
 
@@ -966,6 +1007,9 @@ def test_cli_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
     (5.0, "0.005"),  # between grid times: the t = 0 state would be reported
     (5.0, "7.3"),  # past the horizon
     (5.005, None),  # the default T = horizon is off the grid
+    (5.0, "inf"),  # neither in range nor on the grid
+    (5.0, "1e400"),  # inf too, once parsed
+    (5.0, "nan"),
 ])
 def test_cli_concentration_time_is_an_observation_time(tmp_path, capsys, horizon, time):
     out = tmp_path / "out"

@@ -555,6 +555,16 @@ def law_of(kind, **values):
                              for key, default in LAW_PARAMS[kind].items()})
 
 
+def test_an_initial_law_reads_exactly_its_kinds_row():
+    # The default params belong to the gaussian; another kind takes its own row.
+    law = InitialLaw("uniform")
+    assert law.params == {"half_width": 1.0}
+    x = law.sample(BrownianSource(4), 0, 200, 2)
+    assert np.all(np.abs(x) <= 1.0) and np.ptp(x) > 1.0
+    with pytest.raises(ValueError, match="^kind 'uniform' does not read 'sigma'$"):
+        InitialLaw("uniform", {"sigma": 1.0})
+
+
 def test_initial_law_two_point_support():
     law = InitialLaw("two_point", {"point_a": (-1.0,), "point_b": (2.0,), "weight": 0.5})
     x = law.sample(BrownianSource(4), 0, 200, 1)

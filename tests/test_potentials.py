@@ -104,6 +104,18 @@ def test_bump_radius_must_be_positive(radius):
         uniform_plus_bump(1.0, 0.7, radius)
 
 
+def test_a_potential_reads_exactly_its_kinds_row():
+    # Built from Python, a kind takes its defaults and refuses another kind's keys.
+    assert Potential("quadratic").params == {"kappa": 1.0}
+    with pytest.raises(ValueError, match="^kind 'power_law' missing parameter 'p'$"):
+        Potential("power_law")
+    with pytest.raises(ValueError, match="^kind 'quadratic' does not read 'p'$"):
+        Potential("quadratic", {"kappa": 1.0, "p": 3.0})
+    with pytest.raises(ValueError, match="missing parameter 'radius'; kind 'uniform_plus_bump' "
+                                         "does not read 'p'"):
+        Potential("uniform_plus_bump", {"kappa": 1.0, "amplitude": 0.7, "p": 4.0})
+
+
 def test_the_zero_potential_declares_no_constant():
     with pytest.raises(ValueError, match="zero potential declares no constant"):
         Potential(ZERO, declared_lambda=1.0)
