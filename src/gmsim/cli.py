@@ -100,11 +100,13 @@ def _cmd_simulate(args) -> int:
     h = config_hash(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     base = os.path.join(cfg.output_dir, f"simulate-{h}")
+    if "jsonl" in cfg.output_formats or "csv" in cfg.output_formats:
+        with np.errstate(over="ignore"):  # an overflowing square is inf, null in the JSONL
+            sq = np.sum(pos ** 2, axis=-1)
+            mean_sq, second = np.mean(sq, axis=-1), np.mean(sq, axis=(1, 2))
     if "jsonl" in cfg.output_formats:
-        gio.write_snapshot_jsonl(base + ".jsonl", times, pos, args.positions)
+        gio.write_snapshot_jsonl(base + ".jsonl", times, mean_sq, pos if args.positions else None)
     if "csv" in cfg.output_formats:
-        with np.errstate(over="ignore"):  # an overflowing square is written as inf
-            second = np.mean(np.sum(pos ** 2, axis=-1), axis=(1, 2))
         rows = [(float(t), float(m), "", "simulate", "") for t, m in zip(times, second)]
         gio.write_series_csv(base + ".csv", ("time", "value", "stderr", "method", "p"), rows)
     if "bin" in cfg.output_formats:
@@ -200,6 +202,9 @@ def _cmd_report(args) -> int:
             raise ValueError(f"{path} is not a summary: it holds a JSON "
                              f"{type(summary).__name__}, not an object")
         flags = summary.get("flags", {})
+        if not isinstance(flags, dict):
+            raise ValueError(f"{path} is not a summary: its flags are a JSON "
+                             f"{type(flags).__name__}, not an object")
         ok = ok and all(flags.values())
         line = ", ".join(f"{k}={'pass' if v else 'FAIL'}" for k, v in flags.items())
         print(f"{summary.get('experiment', name)} [{summary.get('config_hash', '')}]: {line}")

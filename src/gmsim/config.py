@@ -45,6 +45,23 @@ _SECTIONS = {
 }
 
 
+# The condition checkers probe 3 dim blocks of near-diagonal pairs, each
+# dim wide, so their probe set grows as dim^2.
+DIM_LIMIT = 64
+# A run stores n_obs x runs x N x d positions: at most 2^30 float64s, 8 GiB.
+STORED_LIMIT = 2 ** 30
+
+
+def stored_error(n_obs: int, runs: int, n: int, dim: int) -> str | None:
+    """The error for a run whose n_obs x runs x N x d stored positions
+    exceed STORED_LIMIT values; None when they fit."""
+    values = n_obs * runs * n * dim
+    if values > STORED_LIMIT:
+        return (f"{n_obs} times x {runs} runs x {n} particles x {dim} coordinates = {values} "
+                f"values, more than the 2**30 (8 GiB of float64) a run may store")
+    return None
+
+
 class ConfigError(ValueError):
     """Carries the full list of validation errors."""
 
@@ -203,32 +220,43 @@ def _build_kinded(cls, sec: dict, errors: list, where: str, dim: int = 1):
     return cls()
 
 
-def _observation_times(exp: dict, horizon: float, dt: float, errors: list, grid_known: bool):
+def _observation_times(exp: dict, horizon: float, dt: float, errors: list, grid_known: bool,
+                       shape: tuple):
     """The observation times, from obs_times or from obs_stride and
     obs_count; None, with the error reported, when they cannot be formed.
     A stride or count that asks for more times than the dt grid holds in
     [0, horizon] is refused before any array is built, reported only when
-    grid_known (else the horizon or dt stood in for has its own error)."""
+    grid_known (else the horizon or dt stood in for has its own error); so
+    are times whose positions, of shape (runs, N, d) a time, cannot be
+    stored (stored_error)."""
     if "obs_times" in exp:
         both = [k for k in ("obs_stride", "obs_count") if k in exp]
         if both:
             errors.append(f"[experiment] obs_times cannot be given with {' and '.join(both)}")
-        return _numbers(exp, "obs_times", None, errors, "experiment")
-    stride = _number(exp, "obs_stride", max(horizon / 20.0, dt), errors, "experiment")
-    if stride <= 0:
-        errors.append("[experiment] obs_stride must be > 0")
-        return None
-    span = horizon / stride  # inf when a subnormal stride overflows it
-    count = (_number(exp, "obs_count", 1, errors, "experiment", int) if "obs_count" in exp
-             else round(span) + 1 if math.isfinite(span) else math.inf)
-    grid = (max(horizon, 0.0) + 1e-9) / dt + 1e-9 + 1.0  # with the slack of observation_steps
-    if count > grid:
-        if not grid_known:
+        times, stride = _numbers(exp, "obs_times", None, errors, "experiment"), None
+        count = len(times or ())
+    else:
+        stride = _number(exp, "obs_stride", max(horizon / 20.0, dt), errors, "experiment")
+        if stride <= 0:
+            errors.append("[experiment] obs_stride must be > 0")
             return None
-        what = f"obs_count = {count}" if "obs_count" in exp else f"obs_stride = {stride!r}"
-        errors.append(f"[experiment] {what} asks for more observation times than the "
-                      f"{math.floor(grid)} the dt = {dt!r} step grid holds in [0, horizon]")
+        span = horizon / stride  # inf when a subnormal stride overflows it
+        count = (_number(exp, "obs_count", 1, errors, "experiment", int) if "obs_count" in exp
+                 else round(span) + 1 if math.isfinite(span) else math.inf)
+        grid = (max(horizon, 0.0) + 1e-9) / dt + 1e-9 + 1.0  # with the slack of observation_steps
+        if count > grid:
+            if not grid_known:
+                return None
+            what = f"obs_count = {count}" if "obs_count" in exp else f"obs_stride = {stride!r}"
+            errors.append(f"[experiment] {what} asks for more observation times than the "
+                          f"{math.floor(grid)} the dt = {dt!r} step grid holds in [0, horizon]")
+            return None
+    too_many = stored_error(count, *shape)
+    if too_many:
+        errors.append(f"[experiment] {too_many}")
         return None
+    if stride is None:
+        return times
     return tuple(float(t) for t in np.round(np.arange(count) * stride, 12))
 
 
@@ -270,6 +298,8 @@ def parse_config(text: str) -> SimConfig:
         errors.append("[dynamics] n must be >= 2")
     if dim < 1:
         errors.append("[dynamics] dim must be >= 1")
+    if dim > DIM_LIMIT:
+        errors.append(f"[dynamics] dim must be <= {DIM_LIMIT}, got {dim}")
     if mode not in ("raw", "projected"):
         errors.append(f"[dynamics] mode must be raw or projected, got {mode!r}")
     if mode == "projected" and not pv.is_zero:
@@ -289,12 +319,15 @@ def parse_config(text: str) -> SimConfig:
     policy_ok = len(errors) == reported
 
     exp = tree.get("experiment", {})
+    runs_errors: list = []  # runs bounds the times formed below; its errors follow theirs
+    runs = _number(exp, "runs", 1, runs_errors, "experiment", int)
     reported = len(errors)
     horizon = _number(exp, "horizon", 1.0, errors, "experiment")
     horizon_ok = len(errors) == reported  # else reported as not a finite number
     if horizon <= 0:
         errors.append("[experiment] horizon must be > 0")
-    obs = _observation_times(exp, horizon, policy.dt, errors, horizon_ok and policy_ok)
+    obs = _observation_times(exp, horizon, policy.dt, errors, horizon_ok and policy_ok,
+                             (runs, n, dim))
     if obs is not None:
         if not obs:
             errors.append("[experiment] at least one observation time is required")
@@ -307,7 +340,7 @@ def parse_config(text: str) -> SimConfig:
     seed = _number(exp, "seed", 0, errors, "experiment", int)
     if not 0 <= seed < SEED_LIMIT:
         errors.append(f"[experiment] seed must be in [0, 2**128), got {seed}")
-    runs = _number(exp, "runs", 1, errors, "experiment", int)
+    errors += runs_errors
     if runs < 1:
         errors.append("[experiment] runs must be >= 1")
 

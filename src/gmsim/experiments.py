@@ -21,7 +21,8 @@ import numpy as np
 from scipy.special import stdtrit
 
 from . import io as gio
-from .config import SimConfig, canonical_text, config_hash, observation_time_errors
+from .config import (SimConfig, canonical_text, config_hash, observation_time_errors,
+                     stored_error)
 from .dynamics import (
     couple_initial,
     drift,
@@ -371,6 +372,12 @@ def chaos_scan(
     if config.mode != "projected":
         raise ValueError("chaos_scan needs mode = projected: its N-systems and auxiliary "
                          "ensembles run on the zero-mean hyperplane")
+    # a run advances two auxiliary ensembles, the N-systems and two proxies
+    particles = M_reference + M_reference // 2 + sum(N_values) + 2
+    too_many = stored_error(len(config.observation_times), runs_per_N, particles, config.dim)
+    if too_many:
+        raise ValueError(f"chaos_scan with M_reference = {M_reference} and runs_per_N = "
+                         f"{runs_per_N}: {too_many}")
     alpha = config.potential_W.declared_alpha
     err = np.concatenate(_over_runs(
         config, runs_per_N, threads, [M_reference, M_reference // 2, *N_values],
@@ -530,6 +537,9 @@ def concentration_suite(
     least_trials = 1 if f_name == "constant" else 200
     if trials < least_trials:
         raise ValueError(f"trials must be >= {least_trials} for a usable tail estimate")
+    too_many = stored_error(1, trials, config.n, config.dim)
+    if too_many:
+        raise ValueError(f"trials = {trials}: {too_many}")
     T = config.horizon if T is None else T
     errors = observation_time_errors((T,), config.horizon, config.step_policy.dt)
     if errors:

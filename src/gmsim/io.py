@@ -18,14 +18,14 @@ _HEADER = struct.Struct("<4sIQQd")  # magic, version, N, d, time -> 32 bytes
 _CHUNK_FLOATS = 1 << 13  # floats read and rendered per write; bounds the writer's memory
 
 
-def write_snapshot_jsonl(path, times, positions: np.ndarray, include_positions: bool = False):
-    """One JSON object per (observation time, run) of positions shaped
-    (n_obs, runs, N, d): time, run, the mean squared position, and
-    optionally the raw positions.  Each line holds the bytes `json.dumps`
-    writes for the record, except that a non-finite float is null, so
-    every line is strict JSON."""
+def write_snapshot_jsonl(path, times, mean_sq: np.ndarray, positions: np.ndarray | None = None):
+    """One JSON object per (observation time, run) of mean_sq shaped
+    (n_obs, runs): time, run, its mean squared position, and the raw
+    positions when positions, shaped (n_obs, runs, N, d), is given.  Each
+    line holds the bytes `json.dumps` writes for the record, except that a
+    non-finite float is null, so every line is strict JSON."""
     times = np.asarray(times, dtype=float)
-    _, runs, n, d = positions.shape
+    runs = mean_sq.shape[1]
     # a record is a row of its text with NUL-padded slots for its values,
     # and the NUL bytes are dropped before writing
     line = bytearray(b'{"time": ')
@@ -36,7 +36,8 @@ def write_snapshot_jsonl(path, times, positions: np.ndarray, include_positions: 
     line += bytes(run_width) + b', "observables": {"mean_sq": '
     at_mean_sq = len(line)
     line += bytes(_WIDTH) + b"}"
-    if include_positions:
+    if positions is not None:
+        _, _, n, d = positions.shape
         line += b', "positions": ['
         at_pos = len(line)
         # one particle: "[" v0 ", " v1 ... "]" then ", " unless it is the last
@@ -48,24 +49,19 @@ def write_snapshot_jsonl(path, times, positions: np.ndarray, include_positions: 
     template = np.tile(np.frombuffer(line, np.uint8), (runs, 1))
     template[:, at_run:at_run + run_width] = np.array(
         [str(r).encode() for r in range(runs)], f"S{run_width}").view(np.uint8).reshape(runs, -1)
-    # mean_sq squares every position, written or not: a few times at a time
-    step = max(1, _CHUNK_FLOATS // (runs * n * d))
-    mean_sq = np.empty((len(times), runs))
-    with np.errstate(over="ignore"):
-        for a in range(0, len(times), step):
-            mean_sq[a:a + step] = np.mean(np.sum(positions[a:a + step] ** 2, axis=-1), axis=-1)
-    step = max(1, _CHUNK_FLOATS // (runs * (n * d + 1 if include_positions else 1) + 1))
+    step = max(1, _CHUNK_FLOATS // (runs * (1 if positions is None else n * d + 1) + 1))
     with open(path, "wb") as fh:
         for a in range(0, len(times), step):
-            t, m, x = times[a:a + step], mean_sq[a:a + step], positions[a:a + step]
+            t, m = times[a:a + step], mean_sq[a:a + step]
             k = len(t)
-            rows = _render(np.concatenate([t, m.ravel(), x.ravel() if include_positions else []]))
+            x = [] if positions is None else positions[a:a + step].ravel()
+            rows = _render(np.concatenate([t, m.ravel(), x]))
             text = bytearray(k * runs * len(line))
             rec = np.frombuffer(text, np.uint8).reshape(k, runs, len(line))
             rec[...] = template
             rec[:, :, at_time:at_time + _WIDTH] = rows[:k].reshape(k, 1, _WIDTH)
             rec[:, :, at_mean_sq:at_mean_sq + _WIDTH] = rows[k:k + k * runs].reshape(k, runs, _WIDTH)
-            if include_positions:
+            if positions is not None:
                 cells = rec[:, :, at_pos:at_pos + n * len(particle)].reshape(k, runs, n, -1)
                 slots = cells[..., 1:].reshape(k, runs, n, d, _WIDTH + 3)[..., :_WIDTH]
                 slots[...] = rows[k + k * runs:].reshape(slots.shape)

@@ -3,9 +3,11 @@
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -245,6 +247,65 @@ def test_a_refused_grid_adds_no_grid_error(dynamics, experiment, error):
     assert exc.value.errors == [error]
 
 
+def _capped_run(argv):
+    """(exit code, stderr, tracemalloc peak) of run_cli(argv) in a fresh
+    interpreter whose address space is capped at 3 GB, as by ulimit -v, so
+    that a run which tries to hold its oversized arrays fails instead of
+    exhausting the host."""
+    script = ("import sys, tracemalloc\n"
+              "from gmsim.cli import run_cli\n"
+              "tracemalloc.start()\n"
+              "code = run_cli(sys.argv[1:])\n"
+              "print(code, tracemalloc.get_traced_memory()[1])\n")
+    cap = 3 * 10 ** 9
+    env = {**_src_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True, timeout=300,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, peak = map(int, proc.stdout.split())
+    return code, proc.stderr, peak
+
+
+_SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+_TOO_MANY = "values, more than the 2**30 (8 GiB of float64) a run may store\n"
+
+
+@pytest.mark.parametrize("command, overrides, extra, error", [
+    # the dt grid holds these 10^12 + 1 times, but a run cannot store them
+    *[(command, {"dynamics": {"dt": 1e-6}, "experiment": {
+        "horizon": 1e6, "obs_times": None, "obs_stride": 1e-6}}, [],
+       "config error: [experiment] 1000000000001 times x 4 runs x 16 particles x 1 coordinates"
+       " = 64000000000064 " + _TOO_MANY) for command in ("check-potential", "simulate")],
+    # the checkers' probe set grows as dim^2: dim = 2000 needs about 12 GB
+    *[(command, {"dynamics": {"dim": 2000}}, [],
+       "config error: [dynamics] dim must be <= 64, got 2000\n")
+      for command in ("check-potential", "simulate")],
+    ("concentration", _SHIPPED / "concentration.cfg", ["--trials", "1000000000000"],
+     "error: trials = 1000000000000: 1 times x 1000000000000 runs x 32 particles x 1 coordinates"
+     " = 32000000000000 " + _TOO_MANY),
+    ("chaos-scan", _SHIPPED / "chaos_scan.cfg", ["--m-reference", "1000000000000"],
+     "error: chaos_scan with M_reference = 1000000000000 and runs_per_N = 32: 9 times x 32 runs"
+     " x 1500000000122 particles x 1 coordinates = 432000000035136 " + _TOO_MANY),
+    ("chaos-scan", _SHIPPED / "chaos_scan.cfg", ["--runs-per-n", "1000000000000"],
+     "error: chaos_scan with M_reference = 512 and runs_per_N = 1000000000000: 9 times x "
+     "1000000000000 runs x 890 particles x 1 coordinates = 8010000000000000 " + _TOO_MANY),
+], ids=["grid-check-potential", "grid-simulate", "dim-check-potential", "dim-simulate",
+        "concentration-trials", "chaos-scan-m-reference", "chaos-scan-runs-per-n"])
+def test_a_run_that_cannot_be_held_is_refused_before_it_allocates(tmp_path, command, overrides,
+                                                                   extra, error):
+    out = tmp_path / "out"
+    path = (str(overrides) if isinstance(overrides, Path)
+            else write_cfg(tmp_path, output={"dir": str(out)}, **overrides))
+    argv = [command, "--config", path]
+    if command != "check-potential":
+        argv += ["--seed", "1", "--out", str(out), *extra]
+    code, err, peak = _capped_run(argv)
+    assert (code, err) == (EXIT_USAGE, error)
+    assert peak < 2**20
+    assert not out.exists()
+
+
 def test_obs_stride_generates_grid():
     cfg = make_config(experiment={"obs_times": None, "obs_stride": 0.25,
                                   "obs_count": 5, "horizon": 1.0})
@@ -344,6 +405,13 @@ def test_shipped_config_parses_and_validates(path):
     assert all(rep.satisfied for _, rep in reports)
 
 
+def _src_env():
+    """The environment with this tree's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_start_up_check_imports_neither_scipy_stats_nor_scipy_optimize():
     # Both packages cost most of a fresh interpreter's start-up; the check
     # that runs before every command needs neither.
@@ -354,9 +422,7 @@ def test_start_up_check_imports_neither_scipy_stats_nor_scipy_optimize():
         "print(sorted(m for m in sys.modules"
         " if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _src_env()
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
@@ -369,9 +435,7 @@ def test_start_up_imports_numpy_before_difflib():
     script = ("import sys, gmsim.cli\n"
               "names = list(sys.modules)\n"
               "print(names.index('numpy') < names.index('difflib'))\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _src_env()
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "True\n"
@@ -701,6 +765,47 @@ def test_cli_simulate_csv_value_is_inf_without_a_warning_when_squares_overflow(t
     assert captured.err == ""
     rows = Path(captured.out.strip() + ".csv").read_text().splitlines()
     assert rows[-1] == "3.0,inf,,simulate,"
+
+
+def test_cli_simulate_jsonl_is_strict_json_when_squares_overflow(tmp_path, capsys, monkeypatch):
+    pos = np.ones((2, 2, 3, 2))
+    pos[1, 0, 2, 1] = 1e300  # finite, but its square is not
+    monkeypatch.setattr(experiments, "simulate_batch",
+                        lambda config, threads=1: (np.array([0.0, 0.5]), pos))
+    path = write_cfg(tmp_path, output={"dir": str(tmp_path / "out"), "formats": "csv,jsonl"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["simulate", "--config", path, "--seed", "1", "--positions"])
+    assert code == EXIT_OK
+    base = capsys.readouterr().out.strip()
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    recs = [json.loads(line, parse_constant=refuse)
+            for line in Path(base + ".jsonl").read_text().splitlines()]
+    assert [rec["observables"]["mean_sq"] for rec in recs] == [2.0, 2.0, None, 2.0]
+    assert recs[2]["positions"][2] == [1.0, 1e300]
+    rows = Path(base + ".csv").read_text().splitlines()
+    assert rows[1:] == ["0.0,2.0,,simulate,", "0.5,inf,,simulate,"]
+
+
+@pytest.mark.parametrize("formats, argv", [("jsonl", []), ("jsonl", ["--positions"]),
+                                           ("csv", [])])
+def test_cli_simulate_writes_one_format_as_a_run_with_every_format(tmp_path, capsys, formats,
+                                                                    argv):
+    def written(formats):
+        out = tmp_path / formats.replace(",", "-")
+        path = write_cfg(tmp_path, dynamics={"n": 6, "dim": 2, "dt": 0.05},
+                         experiment={"horizon": 0.2, "obs_times": "0.0,0.1,0.2", "runs": 3},
+                         output={"dir": str(out), "formats": formats})
+        assert run_cli(["simulate", "--config", path, "--seed", "5", *argv]) == EXIT_OK
+        capsys.readouterr()
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    every, alone = written("csv,jsonl,bin"), written(formats)
+    assert [name.rsplit(".", 1)[1] for name in alone] == [formats]
+    assert alone.items() <= every.items()
 
 
 def test_cli_simulate_positions_without_jsonl_is_refused(tmp_path, capsys):
@@ -1059,6 +1164,17 @@ def test_cli_report_rejects_a_json_that_is_not_an_object(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and "a.json" in err[0]
+
+
+def test_cli_report_rejects_flags_that_are_not_an_object(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "x.json").write_text(json.dumps({"experiment": "x", "flags": [True]}))
+    assert run_cli(["report", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {out / 'x.json'} is not a summary: its flags are a JSON "
+                            "list, not an object\n")
 
 
 def test_cli_unknown_subcommand_is_usage_error(capsys):
